@@ -17,27 +17,18 @@ from .core import (
 from .smoothness import (
     VARIANT_KINDS,
     SmoothnessVariant,
-    SmoothnessVector,
-    edge_smoothness_ev,
-    edge_smoothness_v,
-    inference_objective,
     pairwise_sq_dists,
-    smoothness_ev,
-    smoothness_v,
     variant_edge_smoothness,
-    weighted_smoothness_ev,
 )
 from .probmodel import (
     GaussianModelConfig,
     IncidenceLaplacian,
     incidence_laplacian,
-    negative_log_likelihood,
     sample_features,
 )
 from .inference import (
     Candidate,
     CandidateSet,
-    estimate_edge_count,
     generate_candidates,
     infer_hypergraph,
     infer_probabilities,
@@ -81,23 +72,14 @@ __all__ = [
     "normalize_features",
     "VARIANT_KINDS",
     "SmoothnessVariant",
-    "SmoothnessVector",
-    "edge_smoothness_ev",
-    "edge_smoothness_v",
-    "inference_objective",
     "pairwise_sq_dists",
-    "smoothness_ev",
-    "smoothness_v",
     "variant_edge_smoothness",
-    "weighted_smoothness_ev",
     "GaussianModelConfig",
     "IncidenceLaplacian",
     "incidence_laplacian",
-    "negative_log_likelihood",
     "sample_features",
     "Candidate",
     "CandidateSet",
-    "estimate_edge_count",
     "generate_candidates",
     "infer_hypergraph",
     "infer_probabilities",

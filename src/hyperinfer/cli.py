@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANT_KINDS, default="max")
     p.add_argument("--seed", type=int, default=0, help="seed for the random variant")
     p.add_argument(
-        "--normalize", action="store_true", help="scale feature rows to unit norm first"
+        "--normalize", action="store_true", help="scale the whole matrix to unit variance first"
     )
     p.add_argument("--out", required=True, help="output hypergraph JSON")
     p.add_argument("--candidates", help="also write the scored candidate pool CSV here")

@@ -11,7 +11,7 @@ objective, so no iterative optimisation happens anywhere in the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -159,7 +159,13 @@ def score_candidates(
     if x.shape[0] != cs.n:
         raise DomainError(f"feature rows {x.shape[0]} do not match candidate pool n={cs.n}")
     var = SmoothnessVariant() if variant is None else variant
-    scores = np.array([variant_edge_smoothness(c.nodes, x, var) for c in cs.candidates])
+    by_size: dict[int, list[int]] = {}
+    for i, cand in enumerate(cs.candidates):
+        by_size.setdefault(cand.size, []).append(i)
+    scores = np.empty(len(cs.candidates))
+    for at in by_size.values():
+        rows = np.array([cs.candidates[i].nodes for i in at])
+        scores[at] = variant_edge_smoothness(rows, x, var)
     return replace(cs, scores=scores, probs=None)
 
 
@@ -181,6 +187,7 @@ def infer_probabilities(scores) -> np.ndarray:
 
 
 def _selection_order(cs: CandidateSet) -> list[int]:
+    """Candidate indices by falling probability, then rising score, then node tuple."""
     scores = cs.scores if cs.scores is not None else np.zeros(len(cs.candidates))
     return sorted(
         range(len(cs.candidates)),
@@ -192,8 +199,8 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
     """Pick the highest-probability candidates, overall (TopM) or per size (PerSize).
 
     Ties break toward the lower score, then the lexicographically smaller node
-    tuple, so the same pool always yields the same hypergraph. Selected edges
-    carry their probabilities as weights.
+    tuple (``_selection_order``), so the same pool always yields the same
+    hypergraph. Selected edges carry their probabilities as weights.
     """
     if cs.probs is None:
         raise DomainError("candidate probabilities are missing; infer them first")
@@ -243,23 +250,3 @@ def infer_hypergraph(
     cs = score_candidates(cs, x_nodes, variant=variant)
     cs = replace(cs, probs=infer_probabilities(cs.scores))
     return cs, select_edges(cs, spec)
-
-
-def estimate_edge_count(
-    size_counts: Mapping[int, int], rho: Mapping[int, float]
-) -> float:
-    """Expected number of target hyperedges given per-size retention fractions.
-
-    Multiplies each size's candidate count by its retention fraction rho in
-    [0, 1] and sums. Sizes missing from rho contribute nothing.
-    """
-    extra = sorted(set(rho) - set(size_counts))
-    if extra:
-        raise DomainError(f"rho has sizes {extra} with no matching candidate count")
-    total = 0.0
-    for k, r in rho.items():
-        r = float(r)
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"rho for size {k} must lie in [0, 1], got {r}")
-        total += float(size_counts[k]) * r
-    return total

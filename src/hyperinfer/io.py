@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .core import DomainError, Hypergraph, as_features, build_hypergraph
-from .inference import Candidate, CandidateSet
+from .inference import Candidate, CandidateSet, _selection_order
 from .metrics import MatchReport, SeparationReport
 from .synth import SynthConfig
 
@@ -27,7 +28,12 @@ def write_features(path, x) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    return as_features(np.loadtxt(path, delimiter=",", ndmin=2), name=str(path))
+    # An empty file is reported by as_features; numpy's own warning would
+    # only repeat it on stderr.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    return as_features(rows, name=str(path))
 
 
 def write_hypergraph(path, h: Hypergraph) -> None:
@@ -49,20 +55,16 @@ def read_hypergraph(path) -> Hypergraph:
 def write_candidates(path, cs: CandidateSet) -> None:
     """CSV of the scored pool, highest probability first.
 
-    Node indices are ';'-joined in ascending order. Ties follow the selection
-    rule (lower score, then smaller node tuple) so rewriting the same pool
+    Node indices are ';'-joined in ascending order. Rows follow the order
+    ``select_edges`` ranks by, ties included, so rewriting the same pool
     reproduces the file byte for byte.
     """
     if cs.scores is None or cs.probs is None:
         raise DomainError("candidate scores and probabilities must be attached first")
-    order = sorted(
-        range(len(cs.candidates)),
-        key=lambda i: (-float(cs.probs[i]), float(cs.scores[i]), cs.candidates[i].nodes),
-    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANDIDATE_FIELDS)
-        for i in order:
+        for i in _selection_order(cs):
             cand = cs.candidates[i]
             writer.writerow(
                 [

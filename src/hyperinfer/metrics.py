@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
 from .core import DomainError, Hypergraph
@@ -52,6 +53,13 @@ def f1_exact(pred: Hypergraph, truth: Hypergraph) -> MatchReport:
     return MatchReport(true_positives=tp, precision=precision, recall=recall, f1=f1)
 
 
+def _sparse_incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
+    """Binary n x m incidence matrix with one stored entry per (node, edge) pair."""
+    nodes = [v for edge in h.edges for v in edge]
+    cols = np.repeat(np.arange(h.m), [len(edge) for edge in h.edges])
+    return scipy.sparse.csc_matrix((np.ones(len(nodes)), (nodes, cols)), shape=(h.n, h.m))
+
+
 def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     """Squared incidence error after the best one-to-one column alignment.
 
@@ -64,16 +72,12 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     _check_same_n(pred, truth)
     if pred.m == 0 or truth.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    pred_sets = pred.edge_sets()
-    truth_sets = truth.edge_sets()
-    inter = np.zeros((pred.m, truth.m))
-    for i, p in enumerate(pred_sets):
-        for j, t in enumerate(truth_sets):
-            inter[i, j] = len(p & t)
+    p = _sparse_incidence(pred)
+    t = _sparse_incidence(truth)
+    inter = (p.T @ t).toarray()
     rows, cols = linear_sum_assignment(inter, maximize=True)
     matched = float(inter[rows, cols].sum())
-    pred_mass = sum(len(p) for p in pred_sets)
-    truth_mass = sum(len(t) for t in truth_sets)
+    pred_mass, truth_mass = p.nnz, t.nnz
     return float((pred_mass + truth_mass - 2.0 * matched) / truth_mass)
 
 

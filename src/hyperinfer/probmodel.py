@@ -5,8 +5,7 @@ hyperedge, an edge wherever a hyperedge contains a node. Its Laplacian is
 the block matrix [[diag(H 1), -H], [-H^T, diag(H^T 1)]] with H the
 (possibly weighted) incidence matrix. Node and hyperedge features are
 modelled jointly as zero-mean Gaussian with precision L + sigma^2 I, which
-is what the synthetic sampler draws from and what the negative
-log-likelihood scores.
+is what the synthetic sampler draws from.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DomainError, Hypergraph, as_features, incidence_matrix
+from .core import DomainError, Hypergraph, incidence_matrix
 
 
 @dataclass(frozen=True)
@@ -88,27 +87,3 @@ def sample_features(
     z = rng.standard_normal((lap.size, cfg.dim))
     x = scipy.linalg.solve_triangular(r, z, lower=False)
     return x[: lap.n], x[lap.n :]
-
-
-def negative_log_likelihood(lap: IncidenceLaplacian, x_nodes, x_edges) -> float:
-    """trace(X^T L X) for X the stacked node and hyperedge features.
-
-    For a weighted candidate hypergraph this equals the probability-weighted
-    sum of squared node-to-hyperedge distances, and is nonnegative because
-    the Laplacian is PSD.
-    """
-    xv = as_features(x_nodes, name="node features")
-    if lap.m > 0:
-        xe = as_features(x_edges, name="edge features")
-    else:
-        xe = np.asarray(x_edges, dtype=float).reshape(0, xv.shape[1])
-    if xv.shape[0] != lap.n:
-        raise DomainError(f"node feature rows {xv.shape[0]} != Laplacian node block {lap.n}")
-    if xe.shape[0] != lap.m:
-        raise DomainError(f"edge feature rows {xe.shape[0]} != Laplacian edge block {lap.m}")
-    if lap.m > 0 and xe.shape[1] != xv.shape[1]:
-        raise DomainError(
-            f"edge feature dimension {xe.shape[1]} != node feature dimension {xv.shape[1]}"
-        )
-    x = np.vstack([xv, xe])
-    return float(np.sum(x * (lap.matrix @ x)))

@@ -1,40 +1,20 @@
-"""Smoothness measures on hypergraphs.
+"""Spread scores for candidate hyperedges.
 
-Two per-edge measures: the ev measure sums squared distances between an
-edge's own feature vector and its member nodes; the v measure needs node
-features only and takes the largest squared pairwise distance inside the
-edge. Ablation variants (mean / min / random pair) share the v measure's
-shape. Probabilities enter through a convex objective whose data term is
-the weighted v measure.
+A candidate's spread s' is the largest squared pairwise L2 distance among its
+member nodes; it needs node features only. Ablation variants score the same
+pairs by their mean, their minimum, or one randomly drawn pair. Scores are
+computed for a whole block of equal-size edges at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, as_features
+from .core import DomainError, as_features
 
 VARIANT_KINDS = ("max", "mean", "min", "random")
-
-
-@dataclass(frozen=True)
-class SmoothnessVector:
-    """Per-edge smoothness values; ``kind`` is "ev" or "v"."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("ev", "v"):
-            raise DomainError(f"unknown smoothness kind {self.kind!r}")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values))
 
 
 @dataclass(frozen=True)
@@ -58,115 +38,36 @@ class SmoothnessVariant:
             raise DomainError("random smoothness variant requires an explicit seed")
 
 
-def _edge_nodes(edge: Iterable[int], n_rows: int) -> list[int]:
-    nodes = sorted(int(v) for v in set(edge))
-    if nodes and (nodes[0] < 0 or nodes[-1] >= n_rows):
-        raise DomainError(f"edge {tuple(nodes)} indexes outside the feature matrix ({n_rows} rows)")
-    return nodes
+def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.ndarray:
+    """Score each row of a (c, k) block of sorted node indices by the variant.
 
-
-def edge_smoothness_ev(edge: Iterable[int], x_nodes, x_edge) -> float:
-    """Sum of squared L2 distances from the edge feature to each member node."""
-    xv = as_features(x_nodes, name="node features")
-    xe = np.asarray(x_edge, dtype=float).reshape(-1)
-    if xe.shape[0] != xv.shape[1]:
-        raise DomainError(
-            f"edge feature dimension {xe.shape[0]} != node feature dimension {xv.shape[1]}"
-        )
-    nodes = _edge_nodes(edge, xv.shape[0])
-    if not nodes:
-        raise DomainError("edge must contain at least one node")
-    diff = xv[nodes] - xe[None, :]
-    return float(np.sum(diff * diff))
-
-
-def smoothness_ev(h: Hypergraph, x_nodes, x_edges) -> tuple[float, SmoothnessVector]:
-    """Total and per-edge ev smoothness of a hypergraph.
-
-    ``x_edges`` carries one feature row per hyperedge, aligned with edge
-    order. The total equals the L1 norm of the per-edge vector.
+    Pair distances are squared L2, taken over the k(k-1)/2 node pairs of a row
+    in ``np.triu_indices`` order; the variant reduces them to one score per row.
     """
     xv = as_features(x_nodes, name="node features")
-    xe = as_features(x_edges, name="edge features")
-    if xe.shape[0] != h.m:
-        raise DomainError(f"edge feature rows {xe.shape[0]} != edge count {h.m}")
-    if xe.shape[1] != xv.shape[1]:
-        raise DomainError(
-            f"edge feature dimension {xe.shape[1]} != node feature dimension {xv.shape[1]}"
-        )
-    values = np.array(
-        [edge_smoothness_ev(edge, xv, xe[i]) for i, edge in enumerate(h.edges)]
-    )
-    s = SmoothnessVector(values=values, kind="ev")
-    return s.total, s
-
-
-def edge_smoothness_v(edge: Iterable[int], x_nodes) -> float:
-    """Largest squared pairwise L2 distance among an edge's nodes."""
-    return variant_edge_smoothness(edge, x_nodes, SmoothnessVariant("max"))
-
-
-def smoothness_v(h: Hypergraph, x_nodes) -> tuple[float, SmoothnessVector]:
-    """Total and per-edge v smoothness (max-pairwise measure, node features only)."""
-    xv = as_features(x_nodes, name="node features")
-    values = np.array([edge_smoothness_v(edge, xv) for edge in h.edges])
-    s = SmoothnessVector(values=values, kind="v")
-    return s.total, s
-
-
-def weighted_smoothness_ev(w, candidates: Hypergraph, x_nodes, x_edges) -> float:
-    """Probability-weighted ev smoothness: dot(w, per-edge ev values)."""
-    weights = np.asarray(w, dtype=float).reshape(-1)
-    if weights.shape[0] != candidates.m:
-        raise DomainError(f"got {weights.shape[0]} weights for {candidates.m} edges")
-    if np.any(weights < 0.0) or np.any(weights > 1.0):
-        raise DomainError("weights must lie in [0, 1]")
-    _, s = smoothness_ev(candidates, x_nodes, x_edges)
-    return float(weights @ s.values)
-
-
-def inference_objective(w, s_prime: SmoothnessVector) -> float:
-    """Convex objective over probabilities: w.s' - sum(log w) + ||w||_1.
-
-    The log barrier keeps every probability strictly positive and the L1
-    term penalises dense structures. Natural logarithm, so the coordinate
-    minimum sits at w_i = 1 / (s'_i + 1).
-    """
-    if s_prime.kind != "v":
-        raise DomainError(f"objective needs a 'v' smoothness vector, got {s_prime.kind!r}")
-    weights = np.asarray(w, dtype=float).reshape(-1)
-    if weights.shape[0] != s_prime.values.shape[0]:
-        raise DomainError(
-            f"got {weights.shape[0]} weights for {s_prime.values.shape[0]} scores"
-        )
-    if np.any(weights <= 0.0):
-        raise DomainError("probabilities must be strictly positive")
-    if np.any(weights > 1.0):
-        raise DomainError("probabilities must lie in (0, 1]")
-    return float(
-        weights @ s_prime.values - np.sum(np.log(weights)) + np.sum(weights)
-    )
-
-
-def variant_edge_smoothness(edge: Iterable[int], x_nodes, variant: SmoothnessVariant) -> float:
-    """Score one edge by the variant's pairwise statistic on squared L2 distances."""
-    xv = as_features(x_nodes, name="node features")
-    nodes = _edge_nodes(edge, xv.shape[0])
-    if len(nodes) < 2:
-        raise DomainError(f"edge {tuple(nodes)} too small to score (need >= 2 nodes)")
-    x = xv[nodes]
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.sum(diff * diff, axis=-1)
-    iu = np.triu_indices(len(nodes), k=1)
-    pair_dists = sq[iu]
+    idx = np.asarray(rows)
+    if idx.ndim != 2 or not np.issubdtype(idx.dtype, np.integer):
+        raise DomainError(f"edge rows must be a 2-D integer array, got {idx.dtype} {idx.shape}")
+    c, k = idx.shape
+    if k < 2:
+        raise DomainError(f"edges of size {k} are too small to score (need >= 2 nodes)")
+    if c and (idx.min() < 0 or idx.max() >= xv.shape[0]):
+        raise DomainError(f"edge rows index outside the feature matrix ({xv.shape[0]} rows)")
+    if np.any(idx[:, 1:] <= idx[:, :-1]):
+        raise DomainError("edge rows must hold strictly increasing node indices")
+    pair_dists = np.empty((c, k * (k - 1) // 2))
+    for col, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
+        d = xv[idx[:, i]] - xv[idx[:, j]]
+        pair_dists[:, col] = np.sum(d * d, axis=-1)
     if variant.kind == "max":
-        return float(np.max(pair_dists))
+        return np.max(pair_dists, axis=1)
     if variant.kind == "mean":
-        return float(np.mean(pair_dists))
+        return np.mean(pair_dists, axis=1)
     if variant.kind == "min":
-        return float(np.min(pair_dists))
-    rng = np.random.default_rng([variant.seed, *nodes])
-    return float(pair_dists[rng.integers(pair_dists.shape[0])])
+        return np.min(pair_dists, axis=1)
+    rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in idx.tolist())
+    picks = np.array([rng.integers(pair_dists.shape[1]) for rng in rngs], dtype=np.intp)
+    return pair_dists[np.arange(c), picks]
 
 
 def pairwise_sq_dists(x_nodes) -> np.ndarray:

@@ -26,12 +26,11 @@ from hyperinfer import (
     incidence_laplacian,
     incidence_matrix,
     infer_probabilities,
-    negative_log_likelihood,
     run_protocol,
     run_sweep,
     sample_features,
-    weighted_smoothness_ev,
 )
+from hyperinfer.theory import negative_log_likelihood, weighted_smoothness_ev
 
 BENCH_N = 100
 BENCH_SPEC = {8: 12}

@@ -76,6 +76,24 @@ class TestInfer:
         )
         assert code == 2
 
+    def test_empty_features_file_prints_only_the_error_line(self, tmp_path):
+        features = tmp_path / "x.csv"
+        features.write_text("")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "hyperinfer", "infer",
+                "--features", str(features),
+                "--sizes", "3",
+                "--top-m", "1",
+                "--out", str(tmp_path / "pred.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
     def test_selection_flags_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             _run(

@@ -17,15 +17,13 @@ from hyperinfer import (
     PerSize,
     SmoothnessVariant,
     TopM,
-    estimate_edge_count,
     generate_candidates,
     infer_hypergraph,
     infer_probabilities,
-    inference_objective,
     score_candidates,
     select_edges,
 )
-from hyperinfer.smoothness import SmoothnessVector
+from hyperinfer.theory import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
@@ -189,8 +187,7 @@ class TestInferProbabilities:
     def test_grid_search_finds_nothing_better(self):
         score = 3.0
         w_star = infer_probabilities([score])[0]
-        s = SmoothnessVector(values=np.array([score]), kind="v")
-        best = inference_objective([w_star], s)
+        best = inference_objective([w_star], [score])
         grid = np.arange(1e-4, 1.0 + 1e-9, 1e-4)
         values = grid * score - np.log(grid) + grid
         assert values.min() >= best - 1e-12
@@ -319,23 +316,3 @@ class TestFullPipeline:
         for factor in (1e-3, 0.5, 7.0, 1e3):
             _, scaled = infer_hypergraph(factor * x, [2, 3], TopM(6))
             assert scaled.edges == base.edges
-
-
-class TestEstimateEdgeCount:
-    def test_single_size(self):
-        assert estimate_edge_count({8: 100}, {8: 0.5}) == 50.0
-
-    def test_mixed_sizes(self):
-        assert estimate_edge_count({3: 10, 8: 20}, {3: 0.1, 8: 0.25}) == 6.0
-
-    def test_sizes_missing_from_rho_contribute_nothing(self):
-        assert estimate_edge_count({3: 10, 8: 20}, {8: 0.25}) == 5.0
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.2])
-    def test_rho_outside_unit_interval_rejected(self, bad):
-        with pytest.raises(DomainError):
-            estimate_edge_count({8: 10}, {8: bad})
-
-    def test_unknown_rho_sizes_rejected(self):
-        with pytest.raises(DomainError, match="no matching"):
-            estimate_edge_count({8: 10}, {3: 0.5})

@@ -13,11 +13,9 @@ from hyperinfer import (
     build_hypergraph,
     incidence_laplacian,
     incidence_matrix,
-    negative_log_likelihood,
     sample_features,
-    smoothness_ev,
-    weighted_smoothness_ev,
 )
+from hyperinfer.theory import negative_log_likelihood, weighted_smoothness_ev
 
 
 class TestIncidenceLaplacian:

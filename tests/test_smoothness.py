@@ -1,4 +1,4 @@
-"""Smoothness measures, scoring variants, and the selection objective."""
+"""Spread scores, scoring variants, and the theory identities they rest on."""
 
 import itertools
 import math
@@ -12,31 +12,63 @@ from conftest import feature_matrices, hypergraphs
 from hyperinfer import (
     DomainError,
     SmoothnessVariant,
-    SmoothnessVector,
     build_hypergraph,
-    edge_smoothness_ev,
-    edge_smoothness_v,
-    inference_objective,
+    generate_candidates,
     pairwise_sq_dists,
-    smoothness_ev,
-    smoothness_v,
+    score_candidates,
     variant_edge_smoothness,
-    weighted_smoothness_ev,
 )
+from hyperinfer.theory import inference_objective, weighted_smoothness_ev
 
 TWO_POINTS = np.array([[1.0], [-1.0]])
 THREE_POINTS = np.array([[0.0], [1.0], [3.0]])
+MAX = SmoothnessVariant("max")
+
+
+def _score(edge, x, variant=MAX):
+    return float(variant_edge_smoothness(np.array([edge]), x, variant)[0])
+
+
+def _ev(edge, x, xe):
+    h = build_hypergraph(len(x), [edge])
+    return weighted_smoothness_ev([1.0], h, x, np.array([xe], dtype=float))
+
+
+def _per_edge_oracle(edge, x_nodes, variant):
+    """The scorer the package used before scoring went by block: one edge at a time."""
+    nodes = sorted(int(v) for v in set(edge))
+    x = np.asarray(x_nodes, dtype=float)[nodes]
+    diff = x[:, None, :] - x[None, :, :]
+    sq = np.sum(diff * diff, axis=-1)
+    iu = np.triu_indices(len(nodes), k=1)
+    pair_dists = sq[iu]
+    if variant.kind == "max":
+        return float(np.max(pair_dists))
+    if variant.kind == "mean":
+        return float(np.mean(pair_dists))
+    if variant.kind == "min":
+        return float(np.min(pair_dists))
+    rng = np.random.default_rng([variant.seed, *nodes])
+    return float(pair_dists[rng.integers(pair_dists.shape[0])])
+
+
+ALL_VARIANTS = [
+    SmoothnessVariant("max"),
+    SmoothnessVariant("mean"),
+    SmoothnessVariant("min"),
+    SmoothnessVariant("random", seed=13),
+]
 
 
 class TestEdgeMeasures:
     def test_ev_of_symmetric_pair_with_central_edge(self):
-        assert edge_smoothness_ev([0, 1], TWO_POINTS, [0.0]) == 2.0
+        assert _ev([0, 1], TWO_POINTS, [0.0]) == 2.0
 
     def test_v_of_symmetric_pair(self):
-        assert edge_smoothness_v([0, 1], TWO_POINTS) == 4.0
+        assert _score([0, 1], TWO_POINTS) == 4.0
 
     def test_v_takes_the_widest_pair(self):
-        assert edge_smoothness_v([0, 1, 2], THREE_POINTS) == 9.0
+        assert _score([0, 1, 2], THREE_POINTS) == 9.0
 
     def test_ev_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -44,7 +76,7 @@ class TestEdgeMeasures:
         xe = rng.normal(size=3)
         edge = [0, 2, 5]
         expected = sum(np.sum((x[v] - xe) ** 2) for v in edge)
-        assert math.isclose(edge_smoothness_ev(edge, x, xe), expected)
+        assert math.isclose(_ev(edge, x, xe), expected)
 
     def test_v_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -53,15 +85,15 @@ class TestEdgeMeasures:
         expected = max(
             np.sum((x[a] - x[b]) ** 2) for a, b in itertools.combinations(edge, 2)
         )
-        assert math.isclose(edge_smoothness_v(edge, x), expected)
+        assert math.isclose(_score(edge, x), expected)
 
     def test_edge_indexing_outside_matrix_rejected(self):
         with pytest.raises(DomainError, match="outside"):
-            edge_smoothness_v([0, 9], TWO_POINTS)
+            _score([0, 9], TWO_POINTS)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError, match="dimension"):
-            edge_smoothness_ev([0, 1], TWO_POINTS, [0.0, 0.0])
+            _ev([0, 1], TWO_POINTS, [0.0, 0.0])
 
 
 class TestHypergraphTotals:
@@ -70,31 +102,27 @@ class TestHypergraphTotals:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 2))
         xe = rng.normal(size=(2, 2))
-        total, vec = smoothness_ev(h, x, xe)
-        assert vec.kind == "ev"
-        assert vec.values.shape == (2,)
-        assert math.isclose(total, vec.values.sum())
-        expected = [edge_smoothness_ev(e, x, xe[i]) for i, e in enumerate(h.edges)]
-        assert np.allclose(vec.values, expected)
+        total = weighted_smoothness_ev([1.0, 1.0], h, x, xe)
+        expected = [_ev(e, x, xe[i]) for i, e in enumerate(h.edges)]
+        assert math.isclose(total, sum(expected))
 
-        total_v, vec_v = smoothness_v(h, x)
-        assert vec_v.kind == "v"
-        assert math.isclose(total_v, vec_v.values.sum())
-        assert np.allclose(vec_v.values, [edge_smoothness_v(e, x) for e in h.edges])
+        pair = variant_edge_smoothness(np.array([h.edges[0]]), x, MAX)
+        triple = variant_edge_smoothness(np.array([h.edges[1]]), x, MAX)
+        assert pair[0] == _score(h.edges[0], x)
+        assert triple[0] == _score(h.edges[1], x)
 
     def test_edge_feature_row_count_checked(self):
         h = build_hypergraph(3, [[0, 1]])
         x = np.zeros((3, 2))
         with pytest.raises(DomainError, match="edge feature rows"):
-            smoothness_ev(h, x, np.zeros((2, 2)))
+            weighted_smoothness_ev([1.0], h, x, np.zeros((2, 2)))
 
     def test_ev_can_fall_below_v_when_sums_are_squared(self):
         # The centred pair shows why: ev = 1 + 1 = 2 while v = 4. Any
         # guaranteed ordering between the two measures needs unsquared norms,
         # which TestUnsquaredOrdering exercises.
-        h = build_hypergraph(2, [[0, 1]])
-        ev_total, _ = smoothness_ev(h, TWO_POINTS, np.array([[0.0]]))
-        v_total, _ = smoothness_v(h, TWO_POINTS)
+        ev_total = _ev([0, 1], TWO_POINTS, [0.0])
+        v_total = _score([0, 1], TWO_POINTS)
         assert ev_total == 2.0
         assert v_total == 4.0
         assert ev_total < v_total
@@ -129,30 +157,30 @@ class TestUnsquaredOrdering:
 
 class TestVariants:
     def test_mean_variant_averages_all_pairs(self):
-        got = variant_edge_smoothness([0, 1, 2], THREE_POINTS, SmoothnessVariant("mean"))
+        got = _score([0, 1, 2], THREE_POINTS, SmoothnessVariant("mean"))
         assert math.isclose(got, 14.0 / 3.0)
 
     def test_min_variant_takes_tightest_pair(self):
-        got = variant_edge_smoothness([0, 1, 2], THREE_POINTS, SmoothnessVariant("min"))
+        got = _score([0, 1, 2], THREE_POINTS, SmoothnessVariant("min"))
         assert got == 1.0
 
     def test_two_node_edge_is_variant_independent(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 3))
-        reference = variant_edge_smoothness([1, 3], x, SmoothnessVariant("max"))
+        reference = _score([1, 3], x)
         for variant in [
             SmoothnessVariant("mean"),
             SmoothnessVariant("min"),
             SmoothnessVariant("random", seed=99),
         ]:
-            assert variant_edge_smoothness([1, 3], x, variant) == reference
+            assert _score([1, 3], x, variant) == reference
 
     def test_random_variant_is_reproducible(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(8, 2))
         variant = SmoothnessVariant("random", seed=21)
-        first = variant_edge_smoothness([0, 2, 5, 7], x, variant)
-        second = variant_edge_smoothness([0, 2, 5, 7], x, variant)
+        first = _score([0, 2, 5, 7], x, variant)
+        second = _score([0, 2, 5, 7], x, variant)
         assert first == second
 
     def test_random_variant_returns_an_actual_pair_distance(self):
@@ -163,7 +191,7 @@ class TestVariants:
             float(np.sum((x[a] - x[b]) ** 2))
             for a, b in itertools.combinations(edge, 2)
         }
-        got = variant_edge_smoothness(edge, x, SmoothnessVariant("random", seed=3))
+        got = _score(edge, x, SmoothnessVariant("random", seed=3))
         assert got in pairs
 
     def test_random_variant_requires_seed(self):
@@ -179,12 +207,10 @@ class TestVariants:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(h.n, 3))
         for edge in h.edges:
-            lo = variant_edge_smoothness(edge, x, SmoothnessVariant("min"))
-            hi = variant_edge_smoothness(edge, x, SmoothnessVariant("max"))
-            mean = variant_edge_smoothness(edge, x, SmoothnessVariant("mean"))
-            rand = variant_edge_smoothness(
-                edge, x, SmoothnessVariant("random", seed=seed)
-            )
+            lo = _score(edge, x, SmoothnessVariant("min"))
+            hi = _score(edge, x, SmoothnessVariant("max"))
+            mean = _score(edge, x, SmoothnessVariant("mean"))
+            rand = _score(edge, x, SmoothnessVariant("random", seed=seed))
             assert lo <= mean <= hi
             assert lo <= rand <= hi
 
@@ -209,29 +235,20 @@ class TestWeightedSmoothness:
 
 class TestObjective:
     def test_zero_score_full_weight(self):
-        s = SmoothnessVector(values=np.array([0.0]), kind="v")
-        assert inference_objective([1.0], s) == 1.0
+        assert inference_objective([1.0], [0.0]) == 1.0
 
     def test_half_weight_against_unit_score(self):
-        s = SmoothnessVector(values=np.array([1.0]), kind="v")
-        got = inference_objective([0.5], s)
+        got = inference_objective([0.5], [1.0])
         assert math.isclose(got, 1.0 + math.log(2.0))
         assert math.isclose(got, 1.693147, abs_tol=5e-7)
 
     def test_zero_weight_rejected(self):
-        s = SmoothnessVector(values=np.array([1.0]), kind="v")
         with pytest.raises(DomainError, match="positive"):
-            inference_objective([0.0], s)
+            inference_objective([0.0], [1.0])
 
     def test_weight_above_one_rejected(self):
-        s = SmoothnessVector(values=np.array([1.0]), kind="v")
         with pytest.raises(DomainError, match=r"\(0, 1\]"):
-            inference_objective([1.5], s)
-
-    def test_ev_vector_rejected(self):
-        s = SmoothnessVector(values=np.array([1.0]), kind="ev")
-        with pytest.raises(DomainError, match="'v'"):
-            inference_objective([0.5], s)
+            inference_objective([1.5], [1.0])
 
     @given(
         st.floats(0.0, 50.0, allow_nan=False),
@@ -240,11 +257,10 @@ class TestObjective:
     def test_second_difference_is_positive(self, score, w):
         # Convexity in each coordinate: the centred second difference of a
         # strictly convex function is strictly positive.
-        s = SmoothnessVector(values=np.array([score]), kind="v")
         eps = 0.01
-        lo = inference_objective([w - eps], s)
-        mid = inference_objective([w], s)
-        hi = inference_objective([w + eps], s)
+        lo = inference_objective([w - eps], [score])
+        mid = inference_objective([w], [score])
+        hi = inference_objective([w + eps], [score])
         assert (hi - 2.0 * mid + lo) > 0.0
 
 
@@ -265,3 +281,46 @@ class TestPairwiseDistances:
         assert np.allclose(d, d.T)
         assert np.all(d >= 0.0)
         assert np.all(np.diagonal(d) == 0.0)
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("sizes", [[2], [3], [5], [8], [3, 5, 8]])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.kind)
+    def test_pool_scores_equal_the_per_edge_oracle(self, sizes, variant):
+        rng = np.random.default_rng(len(sizes) * 100 + sizes[0])
+        x = rng.normal(size=(40, 16))
+        cs = score_candidates(generate_candidates(x, sizes), x, variant)
+        expected = [_per_edge_oracle(c.nodes, x, variant) for c in cs.candidates]
+        assert cs.scores.tolist() == expected
+
+    def test_random_scores_follow_their_rows(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(30, 5))
+        rows = np.array([c.nodes for c in generate_candidates(x, [4]).candidates])
+        variant = SmoothnessVariant("random", seed=7)
+        scores = variant_edge_smoothness(rows, x, variant)
+        perm = rng.permutation(len(rows))
+        assert np.array_equal(variant_edge_smoothness(rows[perm], x, variant), scores[perm])
+        for i in (0, len(rows) - 1):
+            assert variant_edge_smoothness(rows[i : i + 1], x, variant)[0] == scores[i]
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(DomainError, match="outside"):
+            variant_edge_smoothness(np.array([[0, 1], [1, 3]]), THREE_POINTS, MAX)
+        with pytest.raises(DomainError, match="outside"):
+            variant_edge_smoothness(np.array([[-1, 1]]), THREE_POINTS, MAX)
+
+    def test_rows_below_size_two_rejected(self):
+        with pytest.raises(DomainError, match="too small"):
+            variant_edge_smoothness(np.array([[0], [1]]), THREE_POINTS, MAX)
+
+    def test_unsorted_rows_rejected(self):
+        with pytest.raises(DomainError, match="increasing"):
+            variant_edge_smoothness(np.array([[2, 0]]), THREE_POINTS, MAX)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = THREE_POINTS.copy()
+        x[1, 0] = bad
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            variant_edge_smoothness(np.array([[0, 2]]), x, MAX)

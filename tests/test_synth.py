@@ -7,12 +7,13 @@ from hyperinfer import (
     DomainError,
     InfeasibleError,
     OVERLAP_TOLERANCE,
+    SmoothnessVariant,
     SynthConfig,
     build_hypergraph,
-    edge_smoothness_v,
     generate_ground_truth,
     make_dataset,
     overlap_rate,
+    variant_edge_smoothness,
 )
 
 
@@ -147,12 +148,11 @@ class TestMakeDataset:
         # spread score than random node sets of the same size.
         cfg = SynthConfig(n=100, edge_spec={8: 12}, target_overlap=0.1, dim=32, seed=4)
         ds = make_dataset(cfg)
-        truth_scores = [edge_smoothness_v(e, ds.x_nodes) for e in ds.truth.edges]
+        spread = SmoothnessVariant("max")
+        truth_scores = variant_edge_smoothness(np.array(ds.truth.edges), ds.x_nodes, spread)
         rng = np.random.default_rng(99)
-        random_scores = [
-            edge_smoothness_v(
-                rng.choice(cfg.n, size=8, replace=False), ds.x_nodes
-            )
-            for _ in range(200)
-        ]
+        random_rows = np.sort(
+            [rng.choice(cfg.n, size=8, replace=False) for _ in range(200)], axis=1
+        )
+        random_scores = variant_edge_smoothness(random_rows, ds.x_nodes, spread)
         assert np.mean(truth_scores) < np.mean(random_scores)
