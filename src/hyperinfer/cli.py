@@ -45,7 +45,7 @@ def _fail(path, exc) -> "_InputError":
 def _read(fn, path, *args):
     try:
         return fn(path, *args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise _fail(path, exc) from exc
 
 

@@ -38,9 +38,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.edges)
-
 
 @dataclass(frozen=True)
 class TopM:

@@ -16,7 +16,7 @@ import numpy as np
 from .core import DomainError, Hypergraph, PerSize, normalize_features
 from .inference import CandidateSet, infer_hypergraph
 from .metrics import MatchReport, SeparationReport, f1_exact, hgmse, probability_separation
-from .smoothness import VARIANT_KINDS, SmoothnessVariant
+from .smoothness import SmoothnessVariant
 from .synth import SynthConfig, make_dataset
 
 SWEEP_AXES = ("nodes", "edge-size", "overlap", "variant")
@@ -80,30 +80,6 @@ def run_protocol(
     )
 
 
-def _grid_kwargs(
-    axis: str, value, base: dict, run_seed: int
-) -> tuple[dict, SmoothnessVariant | None]:
-    kwargs = dict(base)
-    variant: SmoothnessVariant | None = None
-    if axis == "nodes":
-        kwargs["n"] = int(value)
-    elif axis == "edge-size":
-        total = sum(kwargs["edge_spec"].values())
-        kwargs["edge_spec"] = {int(value): total}
-    elif axis == "overlap":
-        kwargs["overlap"] = float(value)
-    elif axis == "variant":
-        kind = str(value)
-        if kind not in VARIANT_KINDS:
-            raise DomainError(f"unknown variant {kind!r}; choose from {VARIANT_KINDS}")
-        variant = SmoothnessVariant(
-            kind=kind, seed=run_seed if kind == "random" else None
-        )
-    else:
-        raise DomainError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    return kwargs, variant
-
-
 def run_sweep(
     axis: str,
     values: Sequence,
@@ -130,16 +106,12 @@ def run_sweep(
         raise DomainError(f"reps must be >= 1, got {reps}")
     if not values:
         raise DomainError("sweep needs at least one grid value")
-    base = {
-        "n": n,
-        "edge_spec": dict(edge_spec) if edge_spec is not None else {8: 12},
-        "overlap": overlap,
-        "sigma": sigma,
-        "dim": dim,
-        "normalize": normalize,
-    }
+    edge_spec = dict(edge_spec) if edge_spec is not None else {8: 12}
     rows: list[dict] = []
     for value in values:
+        point_n = int(value) if axis == "nodes" else n
+        point_spec = {int(value): sum(edge_spec.values())} if axis == "edge-size" else edge_spec
+        point_overlap = float(value) if axis == "overlap" else overlap
         f1s: list[float] = []
         errs: list[float] = []
         for rep in range(reps):
@@ -155,16 +127,21 @@ def run_sweep(
                 "hgmse_std": None,
             }
             try:
-                kwargs, variant = _grid_kwargs(axis, value, base, run_seed)
-                normalize_flag = kwargs.pop("normalize")
+                variant = None
+                if axis == "variant":
+                    kind = str(value)
+                    variant = SmoothnessVariant(
+                        kind=kind, seed=run_seed if kind == "random" else None
+                    )
                 result = run_protocol(
-                    kwargs.pop("n"),
-                    kwargs.pop("edge_spec"),
-                    kwargs.pop("overlap"),
+                    point_n,
+                    point_spec,
+                    point_overlap,
+                    sigma=sigma,
+                    dim=dim,
                     seed=run_seed,
                     variant=variant,
-                    normalize=normalize_flag,
-                    **kwargs,
+                    normalize=normalize,
                 )
             except DomainError as exc:
                 row["status"] = f"error:{type(exc).__name__}"

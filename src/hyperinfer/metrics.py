@@ -42,11 +42,11 @@ def _check_same_n(pred: Hypergraph, truth: Hypergraph) -> None:
 def f1_exact(pred: Hypergraph, truth: Hypergraph) -> MatchReport:
     """Score predictions where an edge counts iff its node set equals a truth edge's.
 
-    Edges are unique within each hypergraph, so true positives reduce to the
-    intersection of the two edge-set collections.
+    Edges are unique sorted tuples within each hypergraph, so true positives
+    reduce to the intersection of the two edge collections.
     """
     _check_same_n(pred, truth)
-    tp = len(set(pred.edge_sets()) & set(truth.edge_sets()))
+    tp = len(set(pred.edges) & set(truth.edges))
     precision = tp / pred.m if pred.m else 0.0
     recall = tp / truth.m if truth.m else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -87,10 +87,8 @@ def probability_separation(cs: CandidateSet, truth: Hypergraph) -> SeparationRep
         raise DomainError("candidate probabilities are missing; infer them first")
     if cs.n != truth.n:
         raise DomainError(f"node counts differ: candidates {cs.n}, truth {truth.n}")
-    truth_sets = set(truth.edge_sets())
-    in_truth = np.array(
-        [frozenset(c.nodes) in truth_sets for c in cs.candidates], dtype=bool
-    )
+    truth_edges = set(truth.edges)
+    in_truth = np.array([c.nodes in truth_edges for c in cs.candidates], dtype=bool)
     mean_truth = float(cs.probs[in_truth].mean()) if in_truth.any() else None
     mean_other = float(cs.probs[~in_truth].mean()) if (~in_truth).any() else None
     gap = None

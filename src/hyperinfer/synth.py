@@ -75,10 +75,7 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     """Per-edge fraction of nodes that sit in at least two edges, and its mean."""
     if h.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    membership = np.zeros(h.n, dtype=int)
-    for edge in h.edges:
-        for v in edge:
-            membership[v] += 1
+    membership = np.bincount([v for e in h.edges for v in e], minlength=h.n)
     per_edge = np.array([float(np.mean(membership[list(e)] >= 2)) for e in h.edges])
     return per_edge, float(per_edge.mean())
 
@@ -86,7 +83,7 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
 def _draw_shared(
     edges: list[tuple[int, ...]],
     degree: np.ndarray,
-    covered: list[int],
+    covered: np.ndarray,
     shared: int,
     rng: np.random.Generator,
 ) -> list[int]:
@@ -98,9 +95,10 @@ def _draw_shared(
     keeps any overlap level structurally recoverable. Only when no such donor
     exists does the draw fall back to the lowest-degree covered nodes.
     """
+    single = (degree == 1).tolist()
     donors: list[tuple[int, list[int]]] = []
     for e in edges:
-        exclusive = [v for v in e if degree[v] == 1]
+        exclusive = [v for v in e if single[v]]
         if len(exclusive) >= shared:
             donors.append((len(e) - len(exclusive), exclusive))
     if donors:
@@ -110,8 +108,8 @@ def _draw_shared(
         perm = rng.permutation(len(exclusive))
         return [exclusive[j] for j in perm[:shared]]
     perm = rng.permutation(len(covered))
-    ranked = sorted(perm, key=lambda j: degree[covered[j]])
-    return [covered[int(j)] for j in ranked[:shared]]
+    ranked = perm[np.argsort(degree[covered[perm]], kind="stable")]
+    return covered[ranked[:shared]].tolist()
 
 
 def _plant(
@@ -122,7 +120,8 @@ def _plant(
     Each edge draws from its own keyed RNG, so for a fixed seed_key the node
     choices are coupled across different lam values: raising lam mainly raises
     the shared count, which keeps the overlap roughly monotone in lam and
-    makes bisection meaningful.
+    makes bisection meaningful. The degree array is the only planting state;
+    the covered and uncovered nodes are read off it, in ascending order.
     """
     degree = np.zeros(n, dtype=int)
     edges: list[tuple[int, ...]] = []
@@ -134,25 +133,20 @@ def _plant(
         shared = int(np.floor(target_shared))
         if u < target_shared - shared:
             shared += 1
-        covered = [v for v in range(n) if degree[v] > 0]
-        uncovered = [v for v in range(n) if degree[v] == 0]
+        covered = np.flatnonzero(degree)
+        uncovered = np.flatnonzero(degree == 0)
         shared = min(shared, k, len(covered))
         shared = max(shared, k - len(uncovered))
-        perm_uncovered = rng.permutation(len(uncovered))
-        nodes: tuple[int, ...] | None = None
-        for retry in range(_DUPLICATE_RETRIES):
-            picked = _draw_shared(edges, degree, covered, shared, rng)
-            picked += [uncovered[j] for j in perm_uncovered[: k - shared]]
-            attempt = tuple(sorted(picked))
-            if attempt not in taken:
-                nodes = attempt
+        fresh = uncovered[rng.permutation(len(uncovered))[: k - shared]].tolist()
+        for _ in range(_DUPLICATE_RETRIES):
+            nodes = tuple(sorted(_draw_shared(edges, degree, covered, shared, rng) + fresh))
+            if nodes not in taken:
                 break
-        if nodes is None:
+        else:
             return None
         taken.add(nodes)
         edges.append(nodes)
-        for v in nodes:
-            degree[v] += 1
+        degree[list(nodes)] += 1
     return edges
 
 
@@ -161,7 +155,9 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
 
     Bisects the shared fraction against the measured overlap rate, restarting
     with fresh randomness when a run cannot land within OVERLAP_TOLERANCE of
-    the target. Deterministic for a fixed config.
+    the target. Trial plants are measured as they are, without validation;
+    only the plant that is returned goes through build_hypergraph.
+    Deterministic for a fixed config.
     """
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
     if max(edge_sizes) > cfg.n:
@@ -170,26 +166,19 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
         )
     target = cfg.target_overlap
     best_gap = np.inf
-
-    def build(lam: float, attempt: int) -> tuple[Hypergraph | None, float]:
-        edges = _plant(cfg.n, edge_sizes, lam, (cfg.seed, 1, attempt))
-        if edges is None:
-            return None, np.inf
-        h = build_hypergraph(cfg.n, edges)
-        return h, overlap_rate(h)[1]
-
     for attempt in range(_ATTEMPTS):
         lo, hi = 0.0, 1.0
         for step in range(_BISECT_STEPS):
             lam = 0.0 if step == 0 else (1.0 if step == 1 else 0.5 * (lo + hi))
-            h, achieved = build(lam, attempt)
-            if h is None:
+            edges = _plant(cfg.n, edge_sizes, lam, (cfg.seed, 1, attempt))
+            if edges is None:
                 hi = min(hi, lam) if lam > 0.0 else hi
                 continue
+            _, achieved = overlap_rate(Hypergraph(cfg.n, tuple(edges)))
             gap = abs(achieved - target)
             best_gap = min(best_gap, gap)
             if gap <= OVERLAP_TOLERANCE:
-                return h
+                return build_hypergraph(cfg.n, edges)
             if step == 0 and achieved > target:
                 break
             if step == 1 and achieved < target:

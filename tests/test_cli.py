@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperinfer
 from hyperinfer import build_hypergraph
 from hyperinfer.cli import main
 from hyperinfer.io import read_hypergraph, read_metrics, write_features, write_hypergraph
@@ -15,6 +18,18 @@ from hyperinfer.io import read_hypergraph, read_metrics, write_features, write_h
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_module(*argv):
+    """``python -m hyperinfer`` in a child process that imports this same package."""
+    src = str(Path(hyperinfer.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperinfer", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestInfer:
@@ -79,16 +94,12 @@ class TestInfer:
     def test_empty_features_file_prints_only_the_error_line(self, tmp_path):
         features = tmp_path / "x.csv"
         features.write_text("")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "hyperinfer", "infer",
-                "--features", str(features),
-                "--sizes", "3",
-                "--top-m", "1",
-                "--out", str(tmp_path / "pred.json"),
-            ],
-            capture_output=True,
-            text=True,
+        proc = _run_module(
+            "infer",
+            "--features", str(features),
+            "--sizes", "3",
+            "--top-m", "1",
+            "--out", str(tmp_path / "pred.json"),
         )
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
@@ -218,6 +229,28 @@ class TestEval:
         write_hypergraph(truth, build_hypergraph(4, [[0, 1]]))
         assert _run("eval", "--pred", str(pred), "--truth", str(truth)) == 2
 
+    @pytest.mark.parametrize(
+        "flag, name, text",
+        [
+            ("--pred", "bare_int_edge.json", '{"n": 3, "edges": [5]}'),
+            ("--pred", "null_n.json", '{"n": null, "edges": [[0, 1]]}'),
+            ("--pred", "null_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [null]}'),
+            ("--candidates", "no_prob.csv", "nodes,size,anchor,s_prime,prob\n0;1,2,0,0.5\n"),
+        ],
+        ids=["bare-int-edge", "null-n", "null-weight", "row-without-prob"],
+    )
+    def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):
+        truth = tmp_path / "truth.json"
+        write_hypergraph(truth, build_hypergraph(3, [[0, 1]]))
+        bad = tmp_path / name
+        bad.write_text(text)
+        pred = ["--pred", str(truth)] if flag == "--candidates" else []
+        proc = _run_module("eval", "--truth", str(truth), *pred, flag, str(bad))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert str(bad) in lines[0]
+
 
 class TestSweep:
     def test_grid_csv_and_summary_lines(self, tmp_path, capsys):
@@ -255,11 +288,7 @@ class TestSweep:
 
 class TestEntrypoints:
     def test_module_invocation_shows_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyperinfer", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("--help")
         assert proc.returncode == 0
         assert "infer" in proc.stdout
         assert "synth" in proc.stdout

@@ -62,10 +62,6 @@ class TestBuildHypergraph:
         with pytest.raises(DomainError, match="weight"):
             build_hypergraph(3, [[0, 1]], weights=[bad])
 
-    def test_edge_sets_match_edges(self):
-        h = build_hypergraph(4, [[0, 1], [1, 2, 3]])
-        assert h.edge_sets() == (frozenset({0, 1}), frozenset({1, 2, 3}))
-
     @given(hypergraphs(weighted=True))
     def test_edges_always_sorted_distinct_in_range(self, h):
         seen = set()

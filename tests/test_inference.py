@@ -233,7 +233,7 @@ class TestSelectEdges:
             np.array([0.4, 0.6, 0.3, 0.7]),
         )
         h = select_edges(cs, PerSize({2: 1, 3: 1}))
-        assert set(h.edge_sets()) == {frozenset({2, 3}), frozenset({3, 4, 5})}
+        assert set(h.edges) == {(2, 3), (3, 4, 5)}
 
     def test_equal_probabilities_fall_back_to_lexicographic_order(self):
         cs = _pool(
@@ -287,11 +287,7 @@ class TestFullPipeline:
         centers = np.array([[0.0, 0.0], [10.0, 10.0], [-10.0, 5.0]])
         x = np.repeat(centers, 3, axis=0) + rng.normal(scale=0.01, size=(9, 2))
         cs, h = infer_hypergraph(x, [3], TopM(3))
-        assert set(h.edge_sets()) == {
-            frozenset({0, 1, 2}),
-            frozenset({3, 4, 5}),
-            frozenset({6, 7, 8}),
-        }
+        assert set(h.edges) == {(0, 1, 2), (3, 4, 5), (6, 7, 8)}
         assert cs.scores is not None
         assert cs.probs is not None
 

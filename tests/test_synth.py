@@ -1,5 +1,7 @@
 """Synthetic ground truth with controlled overlap, and its sampled features."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,32 @@ class TestGenerateGroundTruth:
         base = SynthConfig(n=60, edge_spec={6: 6}, target_overlap=0.25, seed=0)
         other = SynthConfig(n=60, edge_spec={6: 6}, target_overlap=0.25, seed=1)
         assert generate_ground_truth(base).edges != generate_ground_truth(other).edges
+
+    # Recorded planter output. Together these configs take the donor path, the
+    # lowest-degree fallback, duplicate retries and plants that get stuck, so
+    # a change to any of them, or to the order of the RNG draws, shows here.
+    @pytest.mark.parametrize(
+        "n, spec, target, seed, digest",
+        [
+            (100, {8: 12}, 0.3, 0, "4b9579d86ba3b44fdb25004e7de0b2321a1fd49772d89367964aa1d07089df8d"),
+            (100, {8: 12}, 0.5, 2, "59271e688a4b64fd675aa5106393c15671eed43e52d8e658d5d03df719b1385e"),
+            (100, {8: 12}, 0.0, 1, "bc75ed57c84ede3e5126b19293f16a0757c2c75d93764203b97e953730e2f57f"),
+            (40, {3: 4, 5: 4}, 0.3, 0, "e97ad8c477405acc39d6b50275dd50217d1a300550c44fad69bf5049215e74ad"),
+        ],
+    )
+    def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
+        cfg = SynthConfig(n=n, edge_spec=spec, target_overlap=target, seed=seed)
+        edges = generate_ground_truth(cfg).edges
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+    def test_failed_search_reports_the_recorded_closest_gap(self):
+        cfg = SynthConfig(n=20, edge_spec={4: 10}, target_overlap=0.6, seed=0)
+        with pytest.raises(InfeasibleError) as info:
+            generate_ground_truth(cfg)
+        assert str(info.value) == (
+            "could not reach overlap 0.6 within 0.05 for n=20, edges {4: 10}; "
+            "closest gap over 50 attempts was 0.400"
+        )
 
     @pytest.mark.parametrize("target", [0.0, 0.1, 0.3, 0.5])
     def test_achieved_overlap_tracks_the_target(self, target):
