@@ -43,13 +43,32 @@ def write_hypergraph(path, h: Hypergraph) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int(value) -> bool:
+    # JSON booleans arrive as bool, a subclass of int; they are not node ids.
+    return type(value) is int
+
+
 def read_hypergraph(path) -> Hypergraph:
+    """Read a hypergraph JSON, rejecting values JSON types would let through.
+
+    ``n`` and every node id must be JSON integers and every weight a number;
+    strings, floats and booleans in their place are errors, not coerced.
+    """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError(f"{path} is not a hypergraph file; keys 'n' and 'edges' required")
-    return build_hypergraph(
-        payload["n"], payload["edges"], weights=payload.get("weights")
-    )
+    n, edges, weights = payload["n"], payload["edges"], payload.get("weights")
+    if not _is_int(n):
+        raise DomainError(f"{path}: 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
+    ):
+        raise DomainError(f"{path}: 'edges' must be a list of lists of integer node ids")
+    if weights is not None and not (
+        isinstance(weights, list) and all(type(w) in (int, float) for w in weights)
+    ):
+        raise DomainError(f"{path}: 'weights' must be a list of numbers")
+    return build_hypergraph(n, edges, weights=weights)
 
 
 def write_candidates(path, cs: CandidateSet) -> None:

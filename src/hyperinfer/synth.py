@@ -80,33 +80,39 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     return per_edge, float(per_edge.mean())
 
 
+def _donor_pool(exclusive: np.ndarray, sizes: np.ndarray, shared: int) -> np.ndarray:
+    """Indices of the planted edges a new edge may borrow its whole shared block from.
+
+    A donor must still hold at least ``shared`` exclusive nodes (nodes in no
+    other edge); among those, only the least-entangled ones, with the fewest
+    nodes shared elsewhere, qualify. Borrowing from a single donor grows pair
+    and chain patterns, where every node sits in at most two edges, which
+    keeps any overlap level structurally recoverable.
+    """
+    able = np.flatnonzero(exclusive >= shared)
+    if len(able) == 0:
+        return able
+    burden = sizes[able] - exclusive[able]
+    return able[burden == burden.min()]
+
+
 def _draw_shared(
     edges: list[tuple[int, ...]],
+    donors: np.ndarray,
     degree: np.ndarray,
     covered: np.ndarray,
     shared: int,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Pick the shared nodes for a new edge, keeping the structure untangled.
+    """Pick the shared nodes for a new edge: from one random donor if there is any.
 
-    Preference goes to borrowing the whole block from a single donor edge, the
-    least-entangled one that still has enough exclusive nodes. That grows
-    pair and chain patterns, where every node sits in at most two edges, which
-    keeps any overlap level structurally recoverable. Only when no such donor
-    exists does the draw fall back to the lowest-degree covered nodes.
+    Only when no donor exists does the draw fall back to the lowest-degree
+    covered nodes, ties broken at random.
     """
-    single = (degree == 1).tolist()
-    donors: list[tuple[int, list[int]]] = []
-    for e in edges:
-        exclusive = [v for v in e if single[v]]
-        if len(exclusive) >= shared:
-            donors.append((len(e) - len(exclusive), exclusive))
-    if donors:
-        least = min(burden for burden, _ in donors)
-        pool = [exclusive for burden, exclusive in donors if burden == least]
-        exclusive = pool[int(rng.integers(len(pool)))]
-        perm = rng.permutation(len(exclusive))
-        return [exclusive[j] for j in perm[:shared]]
+    if len(donors):
+        donor = np.array(edges[donors[rng.integers(len(donors))]])
+        exclusive = donor[degree[donor] == 1]
+        return exclusive[rng.permutation(len(exclusive))[:shared]].tolist()
     perm = rng.permutation(len(covered))
     ranked = perm[np.argsort(degree[covered[perm]], kind="stable")]
     return covered[ranked[:shared]].tolist()
@@ -120,10 +126,16 @@ def _plant(
     Each edge draws from its own keyed RNG, so for a fixed seed_key the node
     choices are coupled across different lam values: raising lam mainly raises
     the shared count, which keeps the overlap roughly monotone in lam and
-    makes bisection meaningful. The degree array is the only planting state;
-    the covered and uncovered nodes are read off it, in ascending order.
+    makes bisection meaningful. The planting state is the degree of every
+    node, the edge that owns each degree-1 node, and the count of exclusive
+    nodes of every planted edge; planting an edge of size k updates them in
+    O(k). The covered and uncovered nodes are read off the degrees, in
+    ascending order, and the donor pool is fixed across duplicate retries.
     """
     degree = np.zeros(n, dtype=int)
+    owner = np.zeros(n, dtype=int)
+    sizes = np.array(edge_sizes)
+    exclusive = np.zeros(len(edge_sizes), dtype=int)
     edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
     for idx, k in enumerate(edge_sizes):
@@ -138,15 +150,22 @@ def _plant(
         shared = min(shared, k, len(covered))
         shared = max(shared, k - len(uncovered))
         fresh = uncovered[rng.permutation(len(uncovered))[: k - shared]].tolist()
+        donors = _donor_pool(exclusive[:idx], sizes[:idx], shared)
         for _ in range(_DUPLICATE_RETRIES):
-            nodes = tuple(sorted(_draw_shared(edges, degree, covered, shared, rng) + fresh))
+            nodes = tuple(sorted(_draw_shared(edges, donors, degree, covered, shared, rng) + fresh))
             if nodes not in taken:
                 break
         else:
             return None
         taken.add(nodes)
         edges.append(nodes)
-        degree[list(nodes)] += 1
+        for v in nodes:
+            if degree[v] == 0:
+                owner[v] = idx
+                exclusive[idx] += 1
+            elif degree[v] == 1:
+                exclusive[owner[v]] -= 1
+            degree[v] += 1
     return edges
 
 

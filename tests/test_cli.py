@@ -236,8 +236,16 @@ class TestEval:
             ("--pred", "null_n.json", '{"n": null, "edges": [[0, 1]]}'),
             ("--pred", "null_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [null]}'),
             ("--candidates", "no_prob.csv", "nodes,size,anchor,s_prime,prob\n0;1,2,0,0.5\n"),
+            ("--pred", "string_edge.json", '{"n": 3, "edges": ["01", [1, 2]]}'),
+            ("--pred", "float_n.json", '{"n": 3.7, "edges": [[0, 1]]}'),
+            ("--pred", "float_node.json", '{"n": 3, "edges": [[0, 1.9]]}'),
+            ("--pred", "bool_node.json", '{"n": 3, "edges": [[true, 2]]}'),
+            ("--pred", "bool_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [true]}'),
         ],
-        ids=["bare-int-edge", "null-n", "null-weight", "row-without-prob"],
+        ids=[
+            "bare-int-edge", "null-n", "null-weight", "row-without-prob",
+            "string-edge", "float-n", "float-node", "bool-node", "bool-weight",
+        ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):
         truth = tmp_path / "truth.json"

@@ -1,9 +1,11 @@
 """Incidence-graph Laplacian, Gaussian sampler, and likelihood identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
 from conftest import hypergraphs, random_hypergraph
@@ -78,6 +80,23 @@ class TestGaussianModelConfig:
             GaussianModelConfig(dim=0)
 
 
+def dense_sample_features(lap, cfg):
+    """Oracle: the original sampler, a dense Cholesky of the whole precision."""
+    precision = lap.matrix + (cfg.sigma**2) * np.eye(lap.size)
+    r = scipy.linalg.cholesky(precision, lower=False)
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.standard_normal((lap.size, cfg.dim))
+    x = scipy.linalg.solve_triangular(r, z, lower=False)
+    return x[: lap.n], x[lap.n :]
+
+
+def small_edge_hypergraph(rng, n, m):
+    """Random weighted edges of sizes 2-5 over n nodes: some nodes isolated, some in many edges."""
+    edges = {tuple(sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False)))
+             for _ in range(m)}
+    return build_hypergraph(n, sorted(edges), weights=rng.uniform(0.05, 1.0, len(edges)))
+
+
 class TestSampleFeatures:
     def test_shapes_follow_the_hypergraph(self):
         h = build_hypergraph(5, [[0, 1], [2, 3, 4]])
@@ -116,6 +135,47 @@ class TestSampleFeatures:
         target = 1.0 / sigma**2
         assert abs(xv.var() - target) <= 0.05 * target
         assert abs(xv.mean()) <= 3.0 * math.sqrt(target / 20000)
+
+
+    def test_matches_the_dense_cholesky_oracle(self):
+        rng = np.random.default_rng(12)
+        cases = [build_hypergraph(4, []), build_hypergraph(6, [[0, 1, 2], [2, 3]])]
+        cases += [small_edge_hypergraph(rng, int(rng.integers(5, 41)), int(rng.integers(1, 16)))
+                  for _ in range(40)]
+        isolated = crowded = 0
+        for i, h in enumerate(cases):
+            degree = np.bincount([v for e in h.edges for v in e], minlength=h.n)
+            isolated += bool(np.any(degree == 0))
+            crowded += bool(np.any(degree >= 3))
+            lap = incidence_laplacian(h)
+            cfg = GaussianModelConfig(sigma=[1e-3, 0.1, 1.0][i % 3], dim=5, seed=i)
+            got, want = sample_features(lap, cfg), dense_sample_features(lap, cfg)
+            scale = max(np.abs(w).max(initial=0.0) for w in want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.abs(g - w).max(initial=0.0) <= 1e-9 * scale
+        assert isolated >= 5 and crowded >= 5
+
+    def test_failed_factorisation_is_a_domain_error(self):
+        # sigma^2 = 1e-18 vanishes next to the unit degrees, so the precision
+        # of a single edge is singular in floating point.
+        lap = incidence_laplacian(build_hypergraph(2, [[0, 1]]))
+        with pytest.raises(DomainError, match="not positive definite"):
+            sample_features(lap, GaussianModelConfig(sigma=1e-9, dim=2))
+
+    def test_memory_stays_below_one_dense_precision(self):
+        # Half of one (n+m)^2 float64 array: the sampler must never form it.
+        n, m = 2000, 200
+        rng = np.random.default_rng(3)
+        edges = {tuple(sorted(rng.choice(n, size=8, replace=False))) for _ in range(m)}
+        h = build_hypergraph(n, sorted(edges))
+        tracemalloc.start()
+        try:
+            sample_features(incidence_laplacian(h), GaussianModelConfig(dim=8, seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + m) ** 2 / 2
 
 
 class TestNegativeLogLikelihood:

@@ -119,6 +119,7 @@ class TestGenerateGroundTruth:
     # Recorded planter output. Together these configs take the donor path, the
     # lowest-degree fallback, duplicate retries and plants that get stuck, so
     # a change to any of them, or to the order of the RNG draws, shows here.
+    # The mixed n=600 configs draw among many donors tied on burden.
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
@@ -126,6 +127,8 @@ class TestGenerateGroundTruth:
             (100, {8: 12}, 0.5, 2, "59271e688a4b64fd675aa5106393c15671eed43e52d8e658d5d03df719b1385e"),
             (100, {8: 12}, 0.0, 1, "bc75ed57c84ede3e5126b19293f16a0757c2c75d93764203b97e953730e2f57f"),
             (40, {3: 4, 5: 4}, 0.3, 0, "e97ad8c477405acc39d6b50275dd50217d1a300550c44fad69bf5049215e74ad"),
+            (600, {3: 60, 8: 60}, 0.3, 0, "5a7349c8a8ca033b96e91551f0bc5e5bb7779ce50fafe96e701fa8cd4e0e8e81"),
+            (600, {3: 60, 8: 60}, 0.5, 1, "df997885b32a32c5c76fedf84e97807179d4a70a9eadce2a6d9d0e52d85ffee0"),
         ],
     )
     def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
