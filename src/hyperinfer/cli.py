@@ -69,7 +69,10 @@ def _count_map(text: str) -> dict[int, int]:
         size, _, count = tok.partition("=")
         if not count:
             raise ValueError(f"expected size=count, got {tok!r}")
-        out[int(size)] = int(count)
+        size = int(size)
+        if size in out:
+            raise argparse.ArgumentTypeError(f"size {size} given more than once in {text!r}")
+        out[size] = int(count)
     if not out:
         raise ValueError("empty size=count list")
     return out
@@ -147,7 +150,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    convert = {"nodes": int, "edge-size": int, "overlap": float, "variant": str}[args.axis]
+    convert = SWEEP_AXES[args.axis]
     try:
         values = [convert(tok) for tok in args.values]
     except ValueError as exc:
@@ -174,10 +177,13 @@ def cmd_sweep(args) -> int:
         raise _InputError(f"{args.out}: {exc}") from exc
     for row in rows:
         if row["seed"] == "summary":
-            print(
+            line = (
                 f"{args.axis}={row['value']}: f1 {row['f1']:.4f}+/-{row['f1_std']:.4f}  "
                 f"hgmse {row['hgmse']:.4f}+/-{row['hgmse_std']:.4f}"
             )
+            if row["gap"] is not None:
+                line += f"  min-gap {row['gap']:.3f}"
+            print(line)
     return 0
 
 

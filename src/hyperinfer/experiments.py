@@ -19,9 +19,12 @@ from .metrics import MatchReport, SeparationReport, f1_exact, hgmse, probability
 from .smoothness import SmoothnessVariant
 from .synth import SynthConfig, make_dataset
 
-SWEEP_AXES = ("nodes", "edge-size", "overlap", "variant")
+# Each sweep axis and the type its grid values are parsed to.
+SWEEP_AXES = {"nodes": int, "edge-size": int, "overlap": float, "variant": str}
 
-SWEEP_COLUMNS = ("axis", "value", "seed", "status", "f1", "hgmse", "f1_std", "hgmse_std")
+SWEEP_COLUMNS = (
+    "axis", "value", "seed", "status", "f1", "hgmse", "f1_std", "hgmse_std", "gap"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +99,16 @@ def run_sweep(
     """Grid of runs along one axis, reps per point, plus one summary row per point.
 
     Row schema follows SWEEP_COLUMNS; per-run rows leave the std columns None
-    and summary rows carry seed="summary". A failed point becomes a row with
-    status "error:<kind>" and the sweep moves on. Seeds are paired: rep r uses
-    seed + r at every grid value.
+    and summary rows carry seed="summary". A run row's gap is that run's
+    probability-separation gap; a summary row's gap is the smallest among its
+    runs, the worst case. gap is None where no gap is defined. A failed point
+    becomes a row with status "error:<kind>" and the sweep moves on. Seeds are
+    paired: rep r uses seed + r at every grid value.
     """
     if axis not in SWEEP_AXES:
-        raise DomainError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+        raise DomainError(
+            f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}"
+        )
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     if not values:
@@ -114,18 +121,11 @@ def run_sweep(
         point_overlap = float(value) if axis == "overlap" else overlap
         f1s: list[float] = []
         errs: list[float] = []
+        gaps: list[float] = []
         for rep in range(reps):
             run_seed = seed + rep
-            row = {
-                "axis": axis,
-                "value": value,
-                "seed": run_seed,
-                "status": "ok",
-                "f1": None,
-                "hgmse": None,
-                "f1_std": None,
-                "hgmse_std": None,
-            }
+            row = dict.fromkeys(SWEEP_COLUMNS)
+            row.update(axis=axis, value=value, seed=run_seed, status="ok")
             try:
                 variant = None
                 if axis == "variant":
@@ -148,8 +148,11 @@ def run_sweep(
             else:
                 row["f1"] = result.match.f1
                 row["hgmse"] = result.hgmse
+                row["gap"] = result.separation.gap
                 f1s.append(result.match.f1)
                 errs.append(result.hgmse)
+                if result.separation.gap is not None:
+                    gaps.append(result.separation.gap)
             rows.append(row)
         if f1s:
             rows.append(
@@ -162,6 +165,7 @@ def run_sweep(
                     "hgmse": float(np.mean(errs)),
                     "f1_std": float(np.std(f1s)),
                     "hgmse_std": float(np.std(errs)),
+                    "gap": min(gaps, default=None),
                 }
             )
     return rows

@@ -97,23 +97,34 @@ def write_candidates(path, cs: CandidateSet) -> None:
 
 
 def load_candidates(path, n: int) -> CandidateSet:
-    """Read a candidates CSV back into a fully scored pool over n nodes."""
+    """Read a candidates CSV back into a fully scored pool over n nodes.
+
+    Every row must have exactly one field per header column; blank lines are
+    skipped.
+    """
     candidates: list[Candidate] = []
     scores: list[float] = []
     probs: list[float] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(CANDIDATE_FIELDS):
-            raise DomainError(
-                f"{path} has header {reader.fieldnames}, expected {list(CANDIDATE_FIELDS)}"
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(CANDIDATE_FIELDS):
+            raise DomainError(f"{path} has header {header}, expected {list(CANDIDATE_FIELDS)}")
         for row in reader:
-            nodes = tuple(int(tok) for tok in row["nodes"].split(";"))
-            if int(row["size"]) != len(nodes):
-                raise DomainError(f"row for {row['nodes']} declares size {row['size']}")
-            candidates.append(Candidate(nodes=nodes, anchor=int(row["anchor"])))
-            scores.append(float(row["s_prime"]))
-            probs.append(float(row["prob"]))
+            if not row:
+                continue
+            if len(row) != len(CANDIDATE_FIELDS):
+                raise DomainError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"expected {len(CANDIDATE_FIELDS)}"
+                )
+            node_list, size, anchor, s_prime, prob = row
+            nodes = tuple(int(tok) for tok in node_list.split(";"))
+            if int(size) != len(nodes):
+                raise DomainError(f"row for {node_list} declares size {size}")
+            candidates.append(Candidate(nodes=nodes, anchor=int(anchor)))
+            scores.append(float(s_prime))
+            probs.append(float(prob))
     sizes = tuple(sorted({c.size for c in candidates}))
     return CandidateSet(
         n=n,

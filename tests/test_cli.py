@@ -117,6 +117,20 @@ class TestInfer:
             )
         assert err.value.code == 2
 
+    def test_repeated_per_size_entry_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "pred.json"
+        with pytest.raises(SystemExit) as err:
+            _run(
+                "infer",
+                "--features", str(tmp_path / "x.csv"),
+                "--sizes", "4",
+                "--per-size", "4=4,4=5",
+                "--out", str(out),
+            )
+        assert err.value.code == 2
+        assert "--per-size" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def _generate(self, out, seed="0"):
@@ -156,6 +170,20 @@ class TestSynth:
             "manifest.json",
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_repeated_edge_size_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        with pytest.raises(SystemExit) as err:
+            _run(
+                "synth",
+                "--nodes", "50",
+                "--edges", "4=4,4=2",
+                "--overlap", "0.1",
+                "--out", str(out),
+            )
+        assert err.value.code == 2
+        assert "--edges" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_request_exits_with_domain_failure(self, tmp_path, capsys):
         code = _run(
@@ -236,6 +264,11 @@ class TestEval:
             ("--pred", "null_n.json", '{"n": null, "edges": [[0, 1]]}'),
             ("--pred", "null_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [null]}'),
             ("--candidates", "no_prob.csv", "nodes,size,anchor,s_prime,prob\n0;1,2,0,0.5\n"),
+            (
+                "--candidates",
+                "extra_field.csv",
+                "nodes,size,anchor,s_prime,prob\n0;1;2,3,0,1.0,0.5,extra\n",
+            ),
             ("--pred", "string_edge.json", '{"n": 3, "edges": ["01", [1, 2]]}'),
             ("--pred", "float_n.json", '{"n": 3.7, "edges": [[0, 1]]}'),
             ("--pred", "float_node.json", '{"n": 3, "edges": [[0, 1.9]]}'),
@@ -243,7 +276,7 @@ class TestEval:
             ("--pred", "bool_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [true]}'),
         ],
         ids=[
-            "bare-int-edge", "null-n", "null-weight", "row-without-prob",
+            "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight",
         ],
     )
@@ -275,12 +308,17 @@ class TestSweep:
         )
         assert code == 0
         with open(out) as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames[-1] == "gap"
         assert len(rows) == 6
-        assert sum(r["seed"] == "summary" for r in rows) == 2
+        summaries = [r for r in rows if r["seed"] == "summary"]
+        assert len(summaries) == 2
         printed = capsys.readouterr().out
         assert printed.count("f1 ") == 2
         assert "+/-" in printed
+        for row in summaries:
+            assert f"min-gap {float(row['gap']):.3f}" in printed
 
     def test_unparseable_grid_value_exits_with_input_failure(self, tmp_path, capsys):
         code = _run(

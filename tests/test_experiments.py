@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperinfer import DomainError, run_protocol, run_sweep
+from hyperinfer import DomainError, SmoothnessVariant, run_protocol, run_sweep
 from hyperinfer.experiments import SWEEP_COLUMNS
 
 
@@ -69,12 +69,14 @@ class TestRunSweep:
         assert len(failed) == 1
         assert failed[0]["status"] == "error:InfeasibleError"
         assert failed[0]["f1"] is None
+        assert failed[0]["gap"] is None
         ok = [r for r in rows if r["value"] == 60 and r["seed"] != "summary"]
         assert ok[0]["status"] == "ok"
 
     def test_unknown_variant_value_is_an_error_row(self):
         rows = run_sweep("variant", ["median"], 1, n=40, edge_spec={4: 4}, dim=16)
         assert rows[0]["status"] == "error:DomainError"
+        assert rows[0]["gap"] is None
 
     def test_edge_size_axis_preserves_the_total_count(self):
         rows = run_sweep(
@@ -95,3 +97,47 @@ class TestRunSweep:
             run_sweep("overlap", [0.1], 0)
         with pytest.raises(DomainError, match="at least one"):
             run_sweep("overlap", [], 1)
+
+
+class TestSweepMatchesDirectRuns:
+    """Each sweep row reports what a direct run_protocol call at seed + rep gives."""
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("overlap", [0.1, 0.3]), ("variant", ["max", "mean", "min", "random"])],
+    )
+    def test_run_rows_equal_direct_protocol_runs(self, axis, values):
+        seed, reps = 5, 3
+        rows = run_sweep(
+            axis, values, reps, n=40, edge_spec={4: 4}, dim=16, seed=seed, normalize=True
+        )
+        runs = [r for r in rows if r["seed"] != "summary"]
+        assert len(runs) == len(values) * reps
+        for i, row in enumerate(runs):
+            rep_seed = seed + i % reps
+            assert row["seed"] == rep_seed
+            overlap = row["value"] if axis == "overlap" else 0.3
+            variant = None
+            if axis == "variant":
+                kind = row["value"]
+                variant = SmoothnessVariant(
+                    kind=kind, seed=rep_seed if kind == "random" else None
+                )
+            direct = run_protocol(
+                40, {4: 4}, overlap, dim=16, seed=rep_seed, variant=variant, normalize=True
+            )
+            assert row["status"] == "ok"
+            assert row["f1"] == direct.match.f1
+            assert row["hgmse"] == direct.hgmse
+            assert row["gap"] == direct.separation.gap
+
+    def test_summary_gap_is_the_smallest_run_gap(self):
+        rows = run_sweep(
+            "overlap", [0.1, 0.3], 4, n=40, edge_spec={4: 4}, dim=16, seed=0, normalize=True
+        )
+        for value in (0.1, 0.3):
+            point = [r for r in rows if r["value"] == value]
+            gaps = [r["gap"] for r in point if r["seed"] != "summary"]
+            assert all(g is not None for g in gaps)
+            assert point[-1]["seed"] == "summary"
+            assert point[-1]["gap"] == min(gaps)

@@ -133,6 +133,17 @@ class TestCandidateFiles:
         with pytest.raises(DomainError, match="declares size"):
             load_candidates(path, 5)
 
+    @pytest.mark.parametrize(
+        "row, count",
+        [("0;1,2,0,1.0,0.5,extra", 6), ("0;1,2,0,1.0", 4)],
+        ids=["extra-field", "missing-field"],
+    )
+    def test_row_field_count_must_match_header(self, tmp_path, row, count):
+        path = tmp_path / "cands.csv"
+        path.write_text(f"nodes,size,anchor,s_prime,prob\n0;2,2,0,1.0,0.5\n{row}\n")
+        with pytest.raises(DomainError, match=rf"cands.csv, line 3: {count} fields, expected 5"):
+            load_candidates(path, 5)
+
 
 class TestMetricsFiles:
     def test_fields_and_optional_separation_block(self, tmp_path):
