@@ -56,8 +56,15 @@ def _write(fn, path, *args):
         raise _fail(path, exc) from exc
 
 
+def _int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {tok!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [_int(tok, "size") for tok in text.split(",") if tok.strip()]
 
 
 def _count_map(text: str) -> dict[int, int]:
@@ -68,20 +75,20 @@ def _count_map(text: str) -> dict[int, int]:
             continue
         size, _, count = tok.partition("=")
         if not count:
-            raise ValueError(f"expected size=count, got {tok!r}")
-        size = int(size)
+            raise argparse.ArgumentTypeError(f"expected size=count, got {tok!r}")
+        size = _int(size, "size")
         if size in out:
             raise argparse.ArgumentTypeError(f"size {size} given more than once in {text!r}")
-        out[size] = int(count)
+        out[size] = _int(count, "count")
     if not out:
-        raise ValueError("empty size=count list")
+        raise argparse.ArgumentTypeError("empty size=count list")
     return out
 
 
 def _comma_list(text: str) -> list[str]:
     items = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not items:
-        raise ValueError("empty value list")
+        raise argparse.ArgumentTypeError("empty value list")
     return items
 
 

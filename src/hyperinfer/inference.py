@@ -27,6 +27,10 @@ from .core import (
 )
 from .smoothness import SmoothnessVariant, pairwise_sq_dists, variant_edge_smoothness
 
+# Rows per block of the neighbour search. A block holds a few float64 arrays
+# of _BLOCK_ROWS x n entries.
+_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -118,6 +122,27 @@ def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(ks)
 
 
+def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
+    """The r nearest other nodes of rows [start, start + len(d)), by (distance, index).
+
+    ``d`` holds those rows' distances to all nodes and is overwritten.
+    ``np.argpartition`` keeps r entries per row without sorting the row. A row
+    with more than r entries at or below its r-th distance has a tie at the
+    boundary, so every such entry is sorted and the r first are kept: this is
+    the order a stable argsort of the full row gives.
+    """
+    rows = np.arange(len(d))
+    d[rows, rows + start] = np.inf
+    part = np.argpartition(d, r - 1, axis=1)[:, :r]
+    dist = np.take_along_axis(d, part, axis=1)
+    nearest = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+    kth = dist.max(axis=1, keepdims=True)
+    for i in np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > r):
+        cols = np.flatnonzero(d[i] <= kth[i])
+        nearest[i] = cols[np.lexsort((cols, d[i, cols]))[:r]]
+    return nearest
+
+
 def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     """One candidate per (size, anchor): the anchor and its k-1 nearest neighbours.
 
@@ -125,19 +150,29 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     smaller node index, so generation is fully deterministic. Duplicate node
     sets keep the first (size, anchor) pair that produced them, and the result
     is ordered by size, then anchor.
+
+    The search runs over near-equal blocks of at most 512 rows: each block's
+    distances to all n nodes are computed, its max(sizes)-1 nearest neighbours
+    kept, and the block freed, so memory is O(512 n) and no row is fully
+    sorted. Every size takes a prefix of the one neighbour list.
     """
     x = as_features(x_nodes, name="node features")
     n = x.shape[0]
     ks = _checked_sizes(sizes, n)
-    dists = pairwise_sq_dists(x)
-    np.fill_diagonal(dists, np.inf)
-    neighbour_order = np.argsort(dists, axis=1, kind="stable")
+    r = ks[-1] - 1
+    neighbours = np.empty((n, r), dtype=np.intp)
+    # Near-equal blocks, so none is a single row (n >= 2 here): a one-row
+    # product takes numpy's gemv path, whose rounding differs from the matrix
+    # product's. With n <= _BLOCK_ROWS the one block is the full product.
+    for rows in np.array_split(np.arange(n), -(-n // _BLOCK_ROWS)):
+        start, stop = int(rows[0]), int(rows[-1]) + 1
+        neighbours[start:stop] = _nearest(pairwise_sq_dists(x, start, stop), start, r)
+    order = neighbours.tolist()
     out: list[Candidate] = []
     seen: set[tuple[int, ...]] = set()
     for k in ks:
         for anchor in range(n):
-            members = (anchor, *neighbour_order[anchor, : k - 1])
-            nodes = tuple(sorted(int(v) for v in members))
+            nodes = tuple(sorted((anchor, *order[anchor][: k - 1])))
             if nodes in seen:
                 continue
             seen.add(nodes)

@@ -70,11 +70,25 @@ def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.nda
     return pair_dists[np.arange(c), picks]
 
 
-def pairwise_sq_dists(x_nodes) -> np.ndarray:
-    """Full n x n squared-distance matrix (Gram trick, clipped at zero)."""
+def pairwise_sq_dists(x_nodes, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows [start, stop) of the n x n squared-distance matrix (Gram trick, clipped at zero).
+
+    The defaults return the full matrix. A row's entry for its own node is 0.
+    The block's values equal the full matrix's rows only up to rounding: BLAS
+    may sum a block product in another order than the symmetric full product.
+    """
     xv = as_features(x_nodes, name="node features")
+    n = xv.shape[0]
+    stop = n if stop is None else stop
+    if not 0 <= start < stop <= n:
+        raise DomainError(f"row range [{start}, {stop}) is outside 0..{n}")
     sq_norms = np.sum(xv * xv, axis=1)
-    d = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (xv @ xv.T)
+    # 2.0 * G is exact, so scaling the product in place keeps the value of
+    # (|a|^2 + |b|^2) - 2 a.b while holding one fewer block in memory.
+    d = xv[start:stop] @ xv.T
+    d *= 2.0
+    np.subtract(sq_norms[start:stop, None] + sq_norms[None, :], d, out=d)
     np.clip(d, 0.0, None, out=d)
-    np.fill_diagonal(d, 0.0)
+    rows = np.arange(stop - start)
+    d[rows, rows + start] = 0.0
     return d

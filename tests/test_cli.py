@@ -332,6 +332,28 @@ class TestSweep:
         assert "bad value" in capsys.readouterr().err
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["synth", "--nodes", "10", "--edges", "4", "--overlap", "0"], "expected size=count"),
+            (["synth", "--nodes", "10", "--edges", "a=4", "--overlap", "0"], "size must be an integer"),
+            (["synth", "--nodes", "10", "--edges", "4=x", "--overlap", "0"], "count must be an integer"),
+            (["synth", "--nodes", "10", "--edges", ",", "--overlap", "0"], "empty size=count list"),
+            (["sweep", "--axis", "overlap", "--values", ","], "empty value list"),
+            (["infer", "--features", "x.csv", "--sizes", "3,a", "--top-m", "1"], "size must be an integer"),
+        ],
+        ids=["no-count", "bad-size", "bad-count", "empty-map", "empty-values", "bad-sizes"],
+    )
+    def test_parser_failure_shows_its_reason(self, tmp_path, capsys, argv, reason):
+        with pytest.raises(SystemExit) as err:
+            _run(*argv, "--out", str(tmp_path / "out"))
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert reason in stderr
+        assert "invalid" not in stderr
+
+
 class TestEntrypoints:
     def test_module_invocation_shows_help(self):
         proc = _run_module("--help")

@@ -1,7 +1,9 @@
 """Candidate generation, probability assignment, and edge selection."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +18,13 @@ from hyperinfer import (
     InfeasibleError,
     PerSize,
     SmoothnessVariant,
+    SynthConfig,
     TopM,
     generate_candidates,
     infer_hypergraph,
     infer_probabilities,
+    make_dataset,
+    pairwise_sq_dists,
     score_candidates,
     select_edges,
 )
@@ -145,6 +150,83 @@ class TestGenerateCandidates:
         assert [c.nodes for c in base.candidates] == [
             c.nodes for c in scaled.candidates
         ]
+
+
+def _oracle_pool(x, sizes):
+    """The full-matrix search: every row of the n x n matrix stably argsorted."""
+    n = x.shape[0]
+    dists = pairwise_sq_dists(x)
+    np.fill_diagonal(dists, np.inf)
+    order = np.argsort(dists, axis=1, kind="stable")
+    seen, out = set(), []
+    for k in sorted(set(sizes)):
+        for anchor in range(n):
+            nodes = tuple(sorted(int(v) for v in (anchor, *order[anchor, : k - 1])))
+            if nodes not in seen:
+                seen.add(nodes)
+                out.append((nodes, anchor))
+    return out
+
+
+def _tie_heavy(n, seed=3):
+    """Features from {0, 1, 2}, each row repeated 4 times, rows shuffled.
+
+    Every distance is a small integer, exact under any summation order, so the
+    search must agree with the oracle exactly, and most rows tie at the
+    neighbour boundary.
+    """
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 3, size=(-(-n // 4), 6)).astype(float)
+    return np.repeat(base, 4, axis=0)[:n][rng.permutation(n)]
+
+
+def _pool_digest(cs):
+    text = ";".join(f"{c.anchor}:{','.join(map(str, c.nodes))}" for c in cs.candidates)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# n around the 512-row block height; sizes {2}, {3, 8} and k = n.
+SEARCH_CASES = list(
+    dict.fromkeys(
+        (n, sizes)
+        for n in (2, 511, 512, 513, 1025)
+        for sizes in ((2,), (3, 8), (n,))
+        if max(sizes) <= n
+    )
+)
+
+
+class TestBlockedSearch:
+    @pytest.mark.parametrize("n, sizes", SEARCH_CASES)
+    def test_matches_the_full_argsort_oracle(self, n, sizes):
+        x = _tie_heavy(n)
+        cs = generate_candidates(x, sizes)
+        assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, sizes)
+
+    def test_mixed_size_pools_match_the_recorded_output(self):
+        # Digests of (anchor, nodes) for every candidate, recorded with the
+        # full-matrix search; both inputs span several row blocks.
+        ds = make_dataset(
+            SynthConfig(n=1100, edge_spec={3: 60, 8: 60}, target_overlap=0.3, dim=64, seed=0)
+        )
+        cases = [
+            (_tie_heavy(1025), 844, "7853c9558edba924"),
+            (ds.x_nodes, 1689, "6bd434c364251785"),
+        ]
+        for x, size, digest in cases:
+            cs = generate_candidates(x, [3, 8])
+            assert (len(cs), _pool_digest(cs)) == (size, digest)
+
+    def test_memory_stays_below_half_a_distance_matrix(self):
+        n = 4000
+        x = np.random.default_rng(8).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            generate_candidates(x, [3, 8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
 
 
 class TestScoring:

@@ -282,6 +282,17 @@ class TestPairwiseDistances:
         assert np.all(d >= 0.0)
         assert np.all(np.diagonal(d) == 0.0)
 
+    def test_row_blocks_stack_to_the_full_matrix(self):
+        # Integer features: every entry is exact, whatever the summation order.
+        x = np.random.default_rng(18).integers(0, 3, size=(11, 5)).astype(float)
+        blocks = [pairwise_sq_dists(x, a, b) for a, b in [(0, 4), (4, 5), (5, 11)]]
+        assert np.array_equal(np.vstack(blocks), pairwise_sq_dists(x))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (4, 2), (0, 12)])
+    def test_row_range_outside_the_matrix_rejected(self, start, stop):
+        with pytest.raises(DomainError, match="row range"):
+            pairwise_sq_dists(np.zeros((11, 2)), start, stop)
+
 
 class TestBlockScoring:
     @pytest.mark.parametrize("sizes", [[2], [3], [5], [8], [3, 5, 8]])
