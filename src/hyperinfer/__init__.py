@@ -27,7 +27,6 @@ from .probmodel import (
     sample_features,
 )
 from .inference import (
-    Candidate,
     CandidateSet,
     generate_candidates,
     infer_hypergraph,
@@ -78,7 +77,6 @@ __all__ = [
     "IncidenceLaplacian",
     "incidence_laplacian",
     "sample_features",
-    "Candidate",
     "CandidateSet",
     "generate_candidates",
     "infer_hypergraph",

@@ -10,7 +10,8 @@ objective, so no iterative optimisation happens anywhere in the pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -32,82 +33,107 @@ from .smoothness import SmoothnessVariant, pairwise_sq_dists, variant_edge_smoot
 _BLOCK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """Potential hyperedge: a sorted node tuple plus the node that proposed it."""
-
-    nodes: tuple[int, ...]
-    anchor: int
-
-    def __post_init__(self):
-        nodes = tuple(sorted({int(v) for v in self.nodes}))
-        object.__setattr__(self, "nodes", nodes)
-        if len(nodes) < 2:
-            raise DomainError(f"candidate {nodes} is too small; need at least two nodes")
-        if self.anchor not in nodes:
-            raise DomainError(f"anchor {self.anchor} is not a member of {nodes}")
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
+Candidate = namedtuple("Candidate", ["nodes", "anchor"])
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Ordered, duplicate-free candidate pool with optional scores and weights.
+    """Duplicate-free candidate pool held as arrays, with optional scores and weights.
 
-    scores and probs, when present, are float arrays aligned with candidates.
-    The pool never exceeds len(sizes) * n entries.
+    ``nodes`` is a (c, max size) intp array with one candidate per row: its
+    node ids ascending, then -1 up to the row width, so rows compare column by
+    column the way their node tuples do. ``anchors[i]`` is the node that
+    proposed row i. scores and probs, when present, are float arrays aligned
+    with the rows. The pool never exceeds len(sizes) * n rows. The rows are
+    checked once and made read-only: ``dataclasses.replace`` with new scores
+    or probabilities does not check them again.
     """
 
     n: int
-    sizes: tuple[int, ...]
-    candidates: tuple[Candidate, ...]
+    nodes: np.ndarray
+    anchors: np.ndarray
     scores: np.ndarray | None = None
     probs: np.ndarray | None = None
+    # The n, nodes and anchors that passed _check_rows (none at first); replace() copies it.
+    _checked: tuple = field(default=(object(),) * 3, repr=False, kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if self.n < 1:
-            raise DomainError(f"node count must be >= 1, got {self.n}")
-        allowed = set(self.sizes)
-        seen: set[tuple[int, ...]] = set()
-        for cand in self.candidates:
-            if cand.size not in allowed:
-                raise DomainError(
-                    f"candidate {cand.nodes} has size {cand.size}, not one of {sorted(allowed)}"
-                )
-            if cand.nodes[0] < 0 or cand.nodes[-1] >= self.n:
-                raise DomainError(f"candidate {cand.nodes} is out of range for n={self.n}")
-            if cand.nodes in seen:
-                raise DomainError(f"duplicate candidate node set {cand.nodes}")
-            seen.add(cand.nodes)
-        if len(self.candidates) > len(self.sizes) * self.n:
-            raise DomainError("candidate count exceeds the sizes * nodes bound")
+        if any(a is not b for a, b in zip(self._checked, (self.n, self.nodes, self.anchors))):
+            self._check_rows()
         if self.scores is not None:
             s = np.asarray(self.scores, dtype=float)
-            if s.shape != (len(self.candidates),):
+            if s.shape != (len(self),):
                 raise DomainError("scores are not aligned with candidates")
             if not np.all(np.isfinite(s)) or np.any(s < 0.0):
                 raise DomainError("scores must be finite and nonnegative")
             object.__setattr__(self, "scores", s)
         if self.probs is not None:
             w = np.asarray(self.probs, dtype=float)
-            if w.shape != (len(self.candidates),):
+            if w.shape != (len(self),):
                 raise DomainError("probs are not aligned with candidates")
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0) or np.any(w > 1.0):
                 raise DomainError("probs must lie in (0, 1]")
             object.__setattr__(self, "probs", w)
 
+    def _check_rows(self) -> None:
+        if self.n < 1:
+            raise DomainError(f"node count must be >= 1, got {self.n}")
+        nodes, anchors = np.array(self.nodes, np.intp), np.array(self.anchors, np.intp)
+        if nodes.ndim != 2 or anchors.shape != nodes.shape[:1]:
+            raise DomainError(f"shapes {nodes.shape}, {anchors.shape} are not (c, w), (c,)")
+        inside = nodes >= 0
+        unordered = inside[:, 1:] & ((nodes[:, 1:] <= nodes[:, :-1]) | ~inside[:, :-1])
+        for bad, what in (
+            (((nodes < -1) | (nodes >= self.n)).any(axis=1), f"is out of range for n={self.n}"),
+            (np.count_nonzero(inside, axis=1) < 2, "is too small; need at least two nodes"),
+            (unordered.any(axis=1), "needs distinct node ids in ascending order, then -1 padding"),
+            (~((nodes == anchors[:, None]) & inside).any(axis=1), "does not contain its anchor"),
+            (_repeats(nodes), "is a duplicate node set"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                row = tuple(nodes[i][nodes[i] != -1].tolist())
+                raise DomainError(f"candidate {row} (anchor {anchors[i]}) {what}")
+        nodes.flags.writeable = anchors.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "anchors", anchors)
+        if len(nodes) > len(self.sizes) * self.n:
+            raise DomainError("candidate count exceeds the sizes * nodes bound")
+        object.__setattr__(self, "_checked", (self.n, nodes, anchors))
+
+    @property
+    def row_sizes(self) -> np.ndarray:
+        """The size of each candidate: its count of node ids before the padding."""
+        return np.count_nonzero(self.nodes >= 0, axis=1)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(self.size_counts())
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """The rows as (nodes, anchor) tuples, for inspection; the pipeline uses the arrays."""
+        return tuple(map(Candidate, self.edges(), self.anchors.tolist()))
+
+    def edges(self, index=slice(None)) -> list[tuple[int, ...]]:
+        """The node tuples of the rows at ``index``, in that order."""
+        rows = zip(self.nodes[index].tolist(), self.row_sizes[index].tolist())
+        return [tuple(row[:k]) for row, k in rows]
+
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.nodes)
 
     def size_counts(self) -> dict[int, int]:
-        counts = {k: 0 for k in self.sizes}
-        for cand in self.candidates:
-            counts[cand.size] += 1
-        return counts
+        return dict(sorted(Counter(self.row_sizes.tolist()).items()))
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Flags each row that equals an earlier row."""
+    repeat = np.zeros(len(rows), dtype=bool)
+    if rows.size:
+        order = np.lexsort(rows.T[::-1])  # stable, so equal rows keep their order
+        repeat[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    return repeat
 
 
 def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
@@ -167,17 +193,15 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     for rows in np.array_split(np.arange(n), -(-n // _BLOCK_ROWS)):
         start, stop = int(rows[0]), int(rows[-1]) + 1
         neighbours[start:stop] = _nearest(pairwise_sq_dists(x, start, stop), start, r)
-    order = neighbours.tolist()
-    out: list[Candidate] = []
-    seen: set[tuple[int, ...]] = set()
-    for k in ks:
-        for anchor in range(n):
-            nodes = tuple(sorted((anchor, *order[anchor][: k - 1])))
-            if nodes in seen:
-                continue
-            seen.add(nodes)
-            out.append(Candidate(nodes=nodes, anchor=anchor))
-    return CandidateSet(n=n, sizes=ks, candidates=tuple(out))
+    # One block of rows per size, sorted and padded to the widest size. Rows of
+    # different sizes never collide, so one pass finds every duplicate.
+    with_anchor = np.column_stack((np.arange(n), neighbours))
+    blocks = np.full((len(ks), n, ks[-1]), -1, dtype=np.intp)
+    for block, k in zip(blocks, ks):
+        block[:, :k] = np.sort(with_anchor[:, :k], axis=1)
+    nodes = blocks.reshape(-1, ks[-1])
+    keep = np.flatnonzero(~_repeats(nodes))
+    return CandidateSet(n=n, nodes=nodes[keep], anchors=keep % n)
 
 
 def score_candidates(
@@ -188,19 +212,16 @@ def score_candidates(
     Any previously attached probabilities are dropped because they would no
     longer match the scores.
     """
-    if len(cs.candidates) == 0:
+    if len(cs) == 0:
         raise DomainError("no candidates to score")
     x = as_features(x_nodes, name="node features")
     if x.shape[0] != cs.n:
         raise DomainError(f"feature rows {x.shape[0]} do not match candidate pool n={cs.n}")
     var = SmoothnessVariant() if variant is None else variant
-    by_size: dict[int, list[int]] = {}
-    for i, cand in enumerate(cs.candidates):
-        by_size.setdefault(cand.size, []).append(i)
-    scores = np.empty(len(cs.candidates))
-    for at in by_size.values():
-        rows = np.array([cs.candidates[i].nodes for i in at])
-        scores[at] = variant_edge_smoothness(rows, x, var)
+    scores = np.empty(len(cs))
+    for k in cs.sizes:
+        at = cs.row_sizes == k
+        scores[at] = variant_edge_smoothness(cs.nodes[at, :k], x, var)
     return replace(cs, scores=scores, probs=None)
 
 
@@ -221,53 +242,44 @@ def infer_probabilities(scores) -> np.ndarray:
     return 1.0 / (s + 1.0)
 
 
-def _selection_order(cs: CandidateSet) -> list[int]:
-    """Candidate indices by falling probability, then rising score, then node tuple."""
-    scores = cs.scores if cs.scores is not None else np.zeros(len(cs.candidates))
-    return sorted(
-        range(len(cs.candidates)),
-        key=lambda i: (-float(cs.probs[i]), float(scores[i]), cs.candidates[i].nodes),
-    )
+def _selection_order(cs: CandidateSet) -> np.ndarray:
+    """Candidate indices by falling probability, then rising score, then node tuple.
+
+    This is the one statement of the ranking rule. Padded rows order like
+    their node tuples, so a candidate sorts before any longer one it starts.
+    """
+    scores = cs.scores if cs.scores is not None else np.zeros(len(cs))
+    return np.lexsort((*cs.nodes.T[::-1], scores, -cs.probs))
 
 
 def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
     """Pick the highest-probability candidates, overall (TopM) or per size (PerSize).
 
-    Ties break toward the lower score, then the lexicographically smaller node
-    tuple (``_selection_order``), so the same pool always yields the same
-    hypergraph. Selected edges carry their probabilities as weights.
+    Candidates are taken in ``_selection_order``, so the same pool always
+    yields the same hypergraph. Selected edges carry their probabilities as
+    weights.
     """
     if cs.probs is None:
         raise DomainError("candidate probabilities are missing; infer them first")
-    order = _selection_order(cs)
     if isinstance(spec, TopM):
-        if spec.m < 0:
-            raise DomainError(f"requested a negative number of edges: {spec.m}")
-        if spec.m > len(order):
-            raise InfeasibleError(
-                f"not enough candidates: requested {spec.m}, have {len(order)}"
-            )
-        chosen = order[: spec.m]
+        quotas = {None: spec.m}  # None: any size
     elif isinstance(spec, PerSize):
-        by_size: dict[int, list[int]] = {}
-        for i in order:
-            by_size.setdefault(cs.candidates[i].size, []).append(i)
-        chosen = []
-        for k in sorted(spec.counts):
-            want = int(spec.counts[k])
-            if want < 0:
-                raise DomainError(f"requested a negative count for size {k}")
-            have = by_size.get(int(k), [])
-            if want > len(have):
-                raise InfeasibleError(
-                    f"not enough candidates of size {k}: requested {want}, have {len(have)}"
-                )
-            chosen.extend(have[:want])
+        quotas = {int(k): int(spec.counts[k]) for k in sorted(spec.counts)}
     else:
         raise DomainError(f"unknown selection spec: {spec!r}")
-    edges = [cs.candidates[i].nodes for i in chosen]
-    weights = [float(cs.probs[i]) for i in chosen]
-    return build_hypergraph(cs.n, edges, weights=weights)
+    order = _selection_order(cs)
+    ranked_sizes = cs.row_sizes[order]
+    picks = [order[:0]]
+    for k, want in quotas.items():
+        have = order if k is None else order[ranked_sizes == k]
+        what = "candidates" if k is None else f"candidates of size {k}"
+        if want < 0:
+            raise DomainError(f"requested a negative number of {what}: {want}")
+        if want > len(have):
+            raise InfeasibleError(f"not enough {what}: requested {want}, have {len(have)}")
+        picks.append(have[:want])
+    chosen = np.concatenate(picks)
+    return build_hypergraph(cs.n, cs.edges(chosen), weights=cs.probs[chosen].tolist())
 
 
 def infer_hypergraph(

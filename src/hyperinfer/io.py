@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DomainError, Hypergraph, as_features, build_hypergraph
-from .inference import Candidate, CandidateSet, _selection_order
+from .inference import CandidateSet, _selection_order
 from .metrics import MatchReport, SeparationReport
 from .synth import SynthConfig
 
@@ -72,39 +72,31 @@ def read_hypergraph(path) -> Hypergraph:
 
 
 def write_candidates(path, cs: CandidateSet) -> None:
-    """CSV of the scored pool, highest probability first.
+    """CSV of the scored pool, one row per candidate, in ``_selection_order``.
 
-    Node indices are ';'-joined in ascending order. Rows follow the order
-    ``select_edges`` ranks by, ties included, so rewriting the same pool
+    Node indices are ';'-joined in ascending order, so rewriting the same pool
     reproduces the file byte for byte.
     """
     if cs.scores is None or cs.probs is None:
         raise DomainError("candidate scores and probabilities must be attached first")
+    order = _selection_order(cs)
+    columns = (cs.anchors[order].tolist(), cs.scores[order].tolist(), cs.probs[order].tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANDIDATE_FIELDS)
-        for i in _selection_order(cs):
-            cand = cs.candidates[i]
-            writer.writerow(
-                [
-                    ";".join(str(v) for v in cand.nodes),
-                    cand.size,
-                    cand.anchor,
-                    str(float(cs.scores[i])),
-                    str(float(cs.probs[i])),
-                ]
-            )
+        writer.writerows(
+            (";".join(map(str, nodes)), len(nodes), anchor, s_prime, prob)
+            for nodes, anchor, s_prime, prob in zip(cs.edges(order), *columns)
+        )
 
 
 def load_candidates(path, n: int) -> CandidateSet:
     """Read a candidates CSV back into a fully scored pool over n nodes.
 
-    Every row must have exactly one field per header column; blank lines are
-    skipped.
+    Every row must have exactly one field per header column and distinct node
+    ids, in any order; blank lines are skipped.
     """
-    candidates: list[Candidate] = []
-    scores: list[float] = []
-    probs: list[float] = []
+    node_lists, anchors, scores, probs = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,26 +105,23 @@ def load_candidates(path, n: int) -> CandidateSet:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}, line {reader.line_num}"
             if len(row) != len(CANDIDATE_FIELDS):
-                raise DomainError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"expected {len(CANDIDATE_FIELDS)}"
-                )
+                raise DomainError(f"{where}: {len(row)} fields, expected {len(CANDIDATE_FIELDS)}")
             node_list, size, anchor, s_prime, prob = row
-            nodes = tuple(int(tok) for tok in node_list.split(";"))
+            nodes = sorted(int(tok) for tok in node_list.split(";"))
             if int(size) != len(nodes):
-                raise DomainError(f"row for {node_list} declares size {size}")
-            candidates.append(Candidate(nodes=nodes, anchor=int(anchor)))
+                raise DomainError(f"{where}: row for {node_list} declares size {size}")
+            if len(set(nodes)) != len(nodes):
+                raise DomainError(f"{where}: node ids repeat in {node_list}")
+            node_lists.append(nodes)
+            anchors.append(int(anchor))
             scores.append(float(s_prime))
             probs.append(float(prob))
-    sizes = tuple(sorted({c.size for c in candidates}))
-    return CandidateSet(
-        n=n,
-        sizes=sizes,
-        candidates=tuple(candidates),
-        scores=np.array(scores),
-        probs=np.array(probs),
-    )
+    width = max(map(len, node_lists), default=0)
+    padded = [row + [-1] * (width - len(row)) for row in node_lists]
+    nodes = np.array(padded, dtype=np.intp).reshape(len(padded), width)
+    return CandidateSet(n=n, nodes=nodes, anchors=anchors, scores=scores, probs=probs)
 
 
 def write_metrics(

@@ -88,7 +88,7 @@ def probability_separation(cs: CandidateSet, truth: Hypergraph) -> SeparationRep
     if cs.n != truth.n:
         raise DomainError(f"node counts differ: candidates {cs.n}, truth {truth.n}")
     truth_edges = set(truth.edges)
-    in_truth = np.array([c.nodes in truth_edges for c in cs.candidates], dtype=bool)
+    in_truth = np.array([e in truth_edges for e in cs.edges()], dtype=bool)
     mean_truth = float(cs.probs[in_truth].mean()) if in_truth.any() else None
     mean_other = float(cs.probs[~in_truth].mean()) if (~in_truth).any() else None
     gap = None

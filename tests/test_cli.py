@@ -242,6 +242,20 @@ class TestEval:
         assert "separation-gap" in capsys.readouterr().out
         assert "separation" in read_metrics(metrics)
 
+    def test_header_only_pool_file_gives_an_empty_separation_block(self, tmp_path, capsys):
+        truth, pool = tmp_path / "truth.json", tmp_path / "pool.csv"
+        write_hypergraph(truth, build_hypergraph(3, [[0, 1]]))
+        pool.write_text("nodes,size,anchor,s_prime,prob\n")
+        metrics = tmp_path / "metrics.json"
+        code = _run(
+            "eval", "--pred", str(truth), "--truth", str(truth),
+            "--candidates", str(pool), "--out", str(metrics),
+        )
+        assert code == 0
+        assert read_metrics(metrics) == {
+            "precision": 1.0, "recall": 1.0, "f1": 1.0, "hgmse": 0.0, "separation": {}
+        }
+
     def test_missing_file_exits_with_input_failure(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"
         write_hypergraph(truth, build_hypergraph(3, [[0, 1]]))
@@ -274,10 +288,11 @@ class TestEval:
             ("--pred", "float_node.json", '{"n": 3, "edges": [[0, 1.9]]}'),
             ("--pred", "bool_node.json", '{"n": 3, "edges": [[true, 2]]}'),
             ("--pred", "bool_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [true]}'),
+            ("--candidates", "repeated_node.csv", "nodes,size,anchor,s_prime,prob\n0;0;1,3,0,1.0,0.5\n"),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
-            "string-edge", "float-n", "float-node", "bool-node", "bool-weight",
+            "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import feature_matrices
 from hyperinfer import (
-    Candidate,
     CandidateSet,
     DomainError,
     InfeasibleError,
@@ -33,49 +33,82 @@ from hyperinfer.theory import inference_objective
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
 
 
-def _pool(n, sizes, spec, probs, scores=None):
-    cands = tuple(Candidate(nodes=nodes, anchor=nodes[0]) for nodes in spec)
-    return CandidateSet(
-        n=n, sizes=sizes, candidates=cands, scores=scores, probs=probs
-    )
+def _rows(spec):
+    """Node tuples as pool rows: padded with -1 to the longest tuple."""
+    width = max(map(len, spec), default=0)
+    return np.array([list(nodes) + [-1] * (width - len(nodes)) for nodes in spec], dtype=np.intp)
+
+
+def _pool(n, spec, probs, scores=None, anchors=None):
+    anchors = [nodes[0] for nodes in spec] if anchors is None else anchors
+    return CandidateSet(n=n, nodes=_rows(spec), anchors=anchors, scores=scores, probs=probs)
 
 
 class TestCandidate:
-    def test_nodes_are_canonicalised(self):
-        c = Candidate(nodes=(3, 1, 3), anchor=1)
-        assert c.nodes == (1, 3)
-        assert c.size == 2
-
     def test_anchor_must_belong_to_the_set(self):
-        with pytest.raises(DomainError, match="anchor"):
-            Candidate(nodes=(0, 1), anchor=2)
+        # The padding is no member either: anchor -1 of the padded row (0, 1).
+        for spec, anchors in (([(0, 1)], [2]), ([(0, 1, 2), (0, 1)], [0, -1])):
+            with pytest.raises(DomainError, match="anchor"):
+                _pool(4, spec, None, anchors=anchors)
 
     def test_needs_two_distinct_nodes(self):
-        with pytest.raises(DomainError, match="too small"):
-            Candidate(nodes=(2, 2), anchor=2)
+        for row in ([2, -1], [2]):
+            with pytest.raises(DomainError, match="too small"):
+                CandidateSet(n=4, nodes=[row], anchors=[2])
+
+    @pytest.mark.parametrize("row", [[1, 3, 3], [3, 1, -1], [0, -1, 2]])
+    def test_rows_hold_ascending_distinct_ids_then_padding(self, row):
+        with pytest.raises(DomainError, match="ascending"):
+            CandidateSet(n=4, nodes=[row], anchors=[row[0]])
+
+    @pytest.mark.parametrize("row", [[0, 4], [-2, 1]])
+    def test_ids_must_be_in_range(self, row):
+        with pytest.raises(DomainError, match="out of range"):
+            CandidateSet(n=4, nodes=[row], anchors=[row[1]])
 
 
 class TestCandidateSetValidation:
     def test_duplicate_node_sets_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
-            _pool(4, (2,), [(0, 1), (0, 1)], None)
+            _pool(4, [(0, 1), (0, 1)], None)
 
-    def test_size_outside_declared_sizes_rejected(self):
-        with pytest.raises(DomainError, match="size"):
-            _pool(4, (3,), [(0, 1)], None)
+    def test_pool_bound_is_enforced(self):
+        # Six distinct pairs over four nodes: more than len(sizes) * n rows.
+        with pytest.raises(DomainError, match="bound"):
+            _pool(4, list(itertools.combinations(range(4), 2)), None)
 
     def test_scores_must_align(self):
         with pytest.raises(DomainError, match="aligned"):
-            _pool(4, (2,), [(0, 1)], None, scores=np.array([1.0, 2.0]))
+            _pool(4, [(0, 1)], None, scores=np.array([1.0, 2.0]))
 
     def test_probs_must_sit_in_unit_interval(self):
         with pytest.raises(DomainError, match="probs"):
-            _pool(4, (2,), [(0, 1)], np.array([1.5]))
+            _pool(4, [(0, 1)], np.array([1.5]))
+
+    @pytest.mark.parametrize(
+        "probs, scores, match",
+        [(None, [-1.0], "nonnegative"), ([0.5, 0.5], None, "aligned"), ([0.0], None, "probs")],
+    )
+    def test_other_bad_scores_and_probs_rejected(self, probs, scores, match):
+        with pytest.raises(DomainError, match=match):
+            _pool(4, [(0, 1)], probs, scores=scores)
 
     def test_size_counts(self):
-        cs = _pool(5, (2, 3), [(0, 1), (2, 4), (0, 1, 2)], None)
+        cs = _pool(5, [(0, 1), (2, 4), (0, 1, 2)], None)
         assert cs.size_counts() == {2: 2, 3: 1}
+        assert cs.sizes == (2, 3)
         assert len(cs) == 3
+
+    def test_rows_are_checked_once_per_pool(self, monkeypatch):
+        calls = []
+        check = CandidateSet._check_rows
+        monkeypatch.setattr(CandidateSet, "_check_rows", lambda cs: calls.append(cs) or check(cs))
+        cs, _ = infer_hypergraph(TWO_PAIRS, [2], TopM(1))
+        assert len(calls) == 1
+        assert not cs.nodes.flags.writeable and not cs.anchors.flags.writeable
+        with pytest.raises(DomainError, match="out of range"):
+            replace(cs, n=3)
+        assert len(calls) == 2
 
 
 class TestGenerateCandidates:
@@ -100,7 +133,7 @@ class TestGenerateCandidates:
     def test_ordered_by_size_then_anchor(self):
         rng = np.random.default_rng(2)
         cs = generate_candidates(rng.normal(size=(8, 3)), sizes=[3, 2])
-        keys = [(c.size, c.anchor) for c in cs.candidates]
+        keys = [(len(c.nodes), c.anchor) for c in cs.candidates]
         assert keys == sorted(keys)
         assert cs.sizes == (2, 3)
 
@@ -129,7 +162,7 @@ class TestGenerateCandidates:
         assert len(cs) <= len(cs.sizes) * n
         for cand in cs.candidates:
             assert cand.anchor in cand.nodes
-            assert cand.size in cs.sizes
+            assert len(cand.nodes) in cs.sizes
 
     def test_every_anchor_is_represented(self):
         # Deduplication keeps one candidate per node set, but every node must
@@ -231,7 +264,7 @@ class TestBlockedSearch:
 
 class TestScoring:
     def test_pair_score_is_the_squared_gap(self):
-        cs = _pool(2, (2,), [(0, 1)], None)
+        cs = _pool(2, [(0, 1)], None)
         scored = score_candidates(cs, np.array([[1.0], [-1.0]]))
         assert scored.scores[0] == 4.0
 
@@ -299,7 +332,6 @@ class TestSelectEdges:
     def test_topm_takes_the_highest_probabilities(self):
         cs = _pool(
             6,
-            (2,),
             [(0, 1), (2, 3), (4, 5)],
             np.array([0.9, 0.5, 0.1]),
         )
@@ -310,7 +342,6 @@ class TestSelectEdges:
     def test_per_size_takes_the_best_of_each_size(self):
         cs = _pool(
             8,
-            (2, 3),
             [(0, 1), (2, 3), (0, 1, 2), (3, 4, 5)],
             np.array([0.4, 0.6, 0.3, 0.7]),
         )
@@ -320,17 +351,18 @@ class TestSelectEdges:
     def test_equal_probabilities_fall_back_to_lexicographic_order(self):
         cs = _pool(
             6,
-            (2,),
             [(4, 5), (0, 1), (2, 3)],
             np.array([0.5, 0.5, 0.5]),
         )
         h = select_edges(cs, TopM(2))
         assert h.edges == ((0, 1), (2, 3))
+        # Across sizes the order is Python's tuple order: a prefix comes first.
+        cs = _pool(3, [(0, 1, 2), (0, 1)], np.array([0.5, 0.5]), scores=np.ones(2))
+        assert select_edges(cs, TopM(1)).edges == ((0, 1),)
 
     def test_probability_ties_break_on_lower_score(self):
         cs = _pool(
             4,
-            (2,),
             [(0, 1), (2, 3)],
             np.array([0.5, 0.5]),
             scores=np.array([2.0, 1.0]),
@@ -339,27 +371,27 @@ class TestSelectEdges:
         assert h.edges == ((2, 3),)
 
     def test_requesting_more_than_the_pool_is_infeasible(self):
-        cs = _pool(4, (2,), [(0, 1)], np.array([0.5]))
+        cs = _pool(4, [(0, 1)], np.array([0.5]))
         with pytest.raises(InfeasibleError, match="not enough candidates"):
             select_edges(cs, TopM(2))
 
     def test_per_size_shortage_is_infeasible(self):
-        cs = _pool(4, (2, 3), [(0, 1)], np.array([0.5]))
+        cs = _pool(4, [(0, 1)], np.array([0.5]))
         with pytest.raises(InfeasibleError, match="size 3"):
             select_edges(cs, PerSize({3: 1}))
 
     def test_negative_request_rejected(self):
-        cs = _pool(4, (2,), [(0, 1)], np.array([0.5]))
+        cs = _pool(4, [(0, 1)], np.array([0.5]))
         with pytest.raises(DomainError, match="negative"):
             select_edges(cs, TopM(-1))
 
     def test_missing_probabilities_rejected(self):
-        cs = _pool(4, (2,), [(0, 1)], None)
+        cs = _pool(4, [(0, 1)], None)
         with pytest.raises(DomainError, match="missing"):
             select_edges(cs, TopM(1))
 
     def test_zero_selection_gives_empty_hypergraph(self):
-        cs = _pool(4, (2,), [(0, 1)], np.array([0.5]))
+        cs = _pool(4, [(0, 1)], np.array([0.5]))
         assert select_edges(cs, TopM(0)).m == 0
 
 

@@ -133,6 +133,26 @@ class TestCandidateFiles:
         with pytest.raises(DomainError, match="declares size"):
             load_candidates(path, 5)
 
+    def test_repeated_node_ids_rejected_with_the_line(self, tmp_path):
+        path = tmp_path / "cands.csv"
+        path.write_text("nodes,size,anchor,s_prime,prob\n0;2,2,0,1.0,0.5\n0;0;1,3,0,1.0,0.5\n")
+        with pytest.raises(DomainError, match=r"cands.csv, line 3: node ids repeat in 0;0;1"):
+            load_candidates(path, 5)
+
+    def test_rows_in_any_order_are_sorted(self, tmp_path):
+        path = tmp_path / "cands.csv"
+        path.write_text("nodes,size,anchor,s_prime,prob\n2;1;0,3,1,1.0,0.5\n4;3,2,4,2.0,0.25\n")
+        back = load_candidates(path, 5)
+        assert back.nodes.tolist() == [[0, 1, 2], [3, 4, -1]]
+        assert back.anchors.tolist() == [1, 4]
+        assert back.sizes == (2, 3)
+
+    def test_header_only_file_is_an_empty_pool(self, tmp_path):
+        path = tmp_path / "cands.csv"
+        path.write_text("nodes,size,anchor,s_prime,prob\n")
+        back = load_candidates(path, 5)
+        assert (len(back), back.sizes, back.size_counts()) == (0, (), {})
+
     @pytest.mark.parametrize(
         "row, count",
         [("0;1,2,0,1.0,0.5,extra", 6), ("0;1,2,0,1.0", 4)],

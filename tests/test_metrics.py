@@ -8,7 +8,6 @@ from hypothesis import given
 
 from conftest import hypergraphs, random_hypergraph
 from hyperinfer import (
-    Candidate,
     CandidateSet,
     DomainError,
     build_hypergraph,
@@ -128,15 +127,8 @@ class TestHgmse:
 
 class TestProbabilitySeparation:
     def _candidates(self, probs):
-        cands = (
-            Candidate(nodes=(0, 1, 2), anchor=0),
-            Candidate(nodes=(3, 4, 5), anchor=3),
-            Candidate(nodes=(1, 2, 3), anchor=1),
-            Candidate(nodes=(2, 3, 4), anchor=2),
-        )
-        return CandidateSet(
-            n=6, sizes=(3,), candidates=cands, probs=np.asarray(probs)
-        )
+        nodes = np.array([[0, 1, 2], [3, 4, 5], [1, 2, 3], [2, 3, 4]])
+        return CandidateSet(n=6, nodes=nodes, anchors=nodes[:, 0], probs=np.asarray(probs))
 
     def test_gap_between_truth_and_the_rest(self):
         truth = build_hypergraph(6, [[0, 1, 2], [3, 4, 5]])
@@ -162,9 +154,16 @@ class TestProbabilitySeparation:
         assert report.mean_truth_prob is None
         assert report.gap is None
 
+    def test_mixed_sizes_match_whole_node_sets(self):
+        # (0, 1) is a prefix of (0, 1, 2), and the size-4 truth edge is wider
+        # than any candidate: only the exact node set (0, 1) is a truth candidate.
+        nodes = np.array([[0, 1, 2], [0, 1, -1], [3, 4, 5]])
+        cs = CandidateSet(n=6, nodes=nodes, anchors=nodes[:, 0], probs=[0.5, 1.0, 0.25])
+        report = probability_separation(cs, build_hypergraph(6, [[0, 1], [2, 3, 4, 5]]))
+        assert (report.mean_truth_prob, report.mean_other_prob) == (1.0, 0.375)
+
     def test_probs_are_required(self):
-        cands = (Candidate(nodes=(0, 1), anchor=0),)
-        cs = CandidateSet(n=3, sizes=(2,), candidates=cands)
+        cs = CandidateSet(n=3, nodes=np.array([[0, 1]]), anchors=np.array([0]))
         with pytest.raises(DomainError, match="missing"):
             probability_separation(cs, build_hypergraph(3, [[0, 1]]))
 
