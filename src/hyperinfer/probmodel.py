@@ -77,8 +77,12 @@ class GaussianModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        sigma = float(self.sigma)
+        # sigma**2 is the precision's ridge: it must neither overflow nor vanish.
+        if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
+            raise DomainError(
+                f"sigma must be positive with a positive finite square, got {self.sigma}"
+            )
         if self.dim < 1:
             raise DomainError(f"feature dimension must be >= 1, got {self.dim}")
 

@@ -10,6 +10,7 @@ model over the planted structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -56,10 +57,7 @@ class SynthConfig:
             raise DomainError(
                 f"target overlap must lie in [0, 1), got {self.target_overlap}"
             )
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if self.dim < 1:
-            raise DomainError(f"feature dimension must be >= 1, got {self.dim}")
+        GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)  # checks sigma, dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +73,20 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     """Per-edge fraction of nodes that sit in at least two edges, and its mean."""
     if h.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    membership = np.bincount([v for e in h.edges for v in e], minlength=h.n)
-    per_edge = np.array([float(np.mean(membership[list(e)] >= 2)) for e in h.edges])
+    sizes = np.array([len(e) for e in h.edges])
+    flat = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sizes.sum())
+    return _overlap(np.bincount(flat, minlength=h.n), flat, sizes)
+
+
+def _overlap(degree: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
+    """overlap_rate of the edges whose nodes lie back to back in ``flat``.
+
+    ``degree`` counts each node's edges. Per edge, the count of nodes of
+    degree >= 2 over the edge size is the same float as the mean of a boolean
+    mask over the edge.
+    """
+    starts = np.cumsum(sizes) - sizes
+    per_edge = np.add.reduceat(degree[flat] >= 2, starts, dtype=np.intp) / sizes
     return per_edge, float(per_edge.mean())
 
 
@@ -97,76 +107,105 @@ def _donor_pool(exclusive: np.ndarray, sizes: np.ndarray, shared: int) -> np.nda
 
 
 def _draw_shared(
-    edges: list[tuple[int, ...]],
+    edges: list[np.ndarray],
     donors: np.ndarray,
     degree: np.ndarray,
-    covered: np.ndarray,
     shared: int,
     rng: np.random.Generator,
-) -> list[int]:
+) -> np.ndarray:
     """Pick the shared nodes for a new edge: from one random donor if there is any.
 
     Only when no donor exists does the draw fall back to the lowest-degree
     covered nodes, ties broken at random.
     """
     if len(donors):
-        donor = np.array(edges[donors[rng.integers(len(donors))]])
+        donor = edges[donors[rng.integers(len(donors))]]
         exclusive = donor[degree[donor] == 1]
-        return exclusive[rng.permutation(len(exclusive))[:shared]].tolist()
+        return exclusive[rng.permutation(len(exclusive))[:shared]]
+    covered = np.flatnonzero(degree)
     perm = rng.permutation(len(covered))
     ranked = perm[np.argsort(degree[covered[perm]], kind="stable")]
-    return covered[ranked[:shared]].tolist()
+    return covered[ranked[:shared]]
+
+
+_EdgeDraws = tuple[float, np.random.Generator, dict]
+
+
+def _edge_draws(seed_key: tuple[int, ...], count: int) -> list[_EdgeDraws]:
+    """Seed the generator of each of ``count`` edges once: u, the generator, its state after u.
+
+    Edge idx draws from ``np.random.default_rng([*seed_key, idx])``. u rounds
+    the edge's shared count; every later draw for the edge starts from the
+    saved state, in each trial plant.
+    """
+    draws = []
+    for idx in range(count):
+        rng = np.random.default_rng([*seed_key, idx])
+        draws.append((rng.random(), rng, rng.bit_generator.state))
+    return draws
 
 
 def _plant(
-    n: int, edge_sizes: list[int], lam: float, seed_key: tuple[int, ...]
-) -> list[tuple[int, ...]] | None:
+    n: int,
+    edge_sizes: list[int],
+    lam: float,
+    draws: list[_EdgeDraws],
+) -> tuple[list[np.ndarray], float] | None:
     """Plant edges sequentially with shared fraction lam; None if stuck on duplicates.
 
-    Each edge draws from its own keyed RNG, so for a fixed seed_key the node
-    choices are coupled across different lam values: raising lam mainly raises
-    the shared count, which keeps the overlap roughly monotone in lam and
-    makes bisection meaningful. The planting state is the degree of every
-    node, the edge that owns each degree-1 node, and the count of exclusive
-    nodes of every planted edge; planting an edge of size k updates them in
-    O(k). The covered and uncovered nodes are read off the degrees, in
-    ascending order, and the donor pool is fixed across duplicate retries.
+    Returns the edges, as ascending node arrays, and their overlap_rate mean.
+    Edge idx rounds lam * k with ``draws[idx]``'s u, then draws its nodes
+    from its generator reset to the saved state, so for fixed draws the node
+    choices are coupled across different lam values: raising lam mainly
+    raises the shared count, which keeps the overlap roughly monotone in lam
+    and makes bisection meaningful.
+
+    The planting state is the degree of every node, the edge that owns each
+    degree-1 node, the count of exclusive nodes of every planted edge, and
+    the uncovered nodes as one ascending array, from which each edge's fresh
+    nodes are deleted; the covered count is n minus its length. Planting an
+    edge of size k updates the first three in O(k). The donor pool is fixed
+    across duplicate retries. An edge that shares no node has no shared draw
+    and, with k fresh nodes, cannot repeat an earlier edge.
     """
-    degree = np.zeros(n, dtype=int)
-    owner = np.zeros(n, dtype=int)
+    degree = np.zeros(n, dtype=np.intp)
+    owner = np.zeros(n, dtype=np.intp)
     sizes = np.array(edge_sizes)
-    exclusive = np.zeros(len(edge_sizes), dtype=int)
-    edges: list[tuple[int, ...]] = []
+    exclusive = np.zeros(len(edge_sizes), dtype=np.intp)
+    uncovered = np.arange(n)
+    edges: list[np.ndarray] = []
     taken: set[tuple[int, ...]] = set()
-    for idx, k in enumerate(edge_sizes):
-        rng = np.random.default_rng([*seed_key, idx])
-        u = rng.random()
+    for idx, (k, (u, rng, state)) in enumerate(zip(edge_sizes, draws)):
+        rng.bit_generator.state = state
         target_shared = lam * k
         shared = int(np.floor(target_shared))
         if u < target_shared - shared:
             shared += 1
-        covered = np.flatnonzero(degree)
-        uncovered = np.flatnonzero(degree == 0)
-        shared = min(shared, k, len(covered))
+        shared = min(shared, k, n - len(uncovered))
         shared = max(shared, k - len(uncovered))
-        fresh = uncovered[rng.permutation(len(uncovered))[: k - shared]].tolist()
-        donors = _donor_pool(exclusive[:idx], sizes[:idx], shared)
-        for _ in range(_DUPLICATE_RETRIES):
-            nodes = tuple(sorted(_draw_shared(edges, donors, degree, covered, shared, rng) + fresh))
-            if nodes not in taken:
-                break
+        pick = rng.permutation(len(uncovered))[: k - shared]
+        fresh = uncovered[pick]
+        uncovered = np.delete(uncovered, pick)
+        if shared == 0:
+            nodes = np.sort(fresh)
         else:
-            return None
-        taken.add(nodes)
+            donors = _donor_pool(exclusive[:idx], sizes[:idx], shared)
+            for _ in range(_DUPLICATE_RETRIES):
+                drawn = _draw_shared(edges, donors, degree, shared, rng)
+                nodes = np.sort(np.concatenate((drawn, fresh)))
+                if tuple(nodes.tolist()) not in taken:
+                    break
+            else:
+                return None
+        taken.add(tuple(nodes.tolist()))
         edges.append(nodes)
-        for v in nodes:
-            if degree[v] == 0:
-                owner[v] = idx
-                exclusive[idx] += 1
-            elif degree[v] == 1:
-                exclusive[owner[v]] -= 1
-            degree[v] += 1
-    return edges
+        seen = degree[nodes]
+        first = nodes[seen == 0]
+        owner[first] = idx
+        exclusive[idx] = len(first)
+        np.subtract.at(exclusive, owner[nodes[seen == 1]], 1)
+        degree[nodes] += 1
+    return edges, _overlap(degree, np.concatenate(edges), sizes)[1]
 
 
 def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
@@ -174,9 +213,12 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
 
     Bisects the shared fraction against the measured overlap rate, restarting
     with fresh randomness when a run cannot land within OVERLAP_TOLERANCE of
-    the target. Trial plants are measured as they are, without validation;
-    only the plant that is returned goes through build_hypergraph.
-    Deterministic for a fixed config.
+    the target. Each attempt seeds every edge's generator once
+    (``_edge_draws``, keyed on (seed, 1, attempt, edge index)); its trial
+    plants all restart each edge's generator from the state saved then.
+    Trial plants are measured as they are, without validation; only the plant
+    that is returned goes through build_hypergraph. Deterministic for a fixed
+    config.
     """
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
     if max(edge_sizes) > cfg.n:
@@ -186,18 +228,19 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     target = cfg.target_overlap
     best_gap = np.inf
     for attempt in range(_ATTEMPTS):
+        draws = _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
         lo, hi = 0.0, 1.0
         for step in range(_BISECT_STEPS):
             lam = 0.0 if step == 0 else (1.0 if step == 1 else 0.5 * (lo + hi))
-            edges = _plant(cfg.n, edge_sizes, lam, (cfg.seed, 1, attempt))
-            if edges is None:
+            plant = _plant(cfg.n, edge_sizes, lam, draws)
+            if plant is None:
                 hi = min(hi, lam) if lam > 0.0 else hi
                 continue
-            _, achieved = overlap_rate(Hypergraph(cfg.n, tuple(edges)))
+            edges, achieved = plant
             gap = abs(achieved - target)
             best_gap = min(best_gap, gap)
             if gap <= OVERLAP_TOLERANCE:
-                return build_hypergraph(cfg.n, edges)
+                return build_hypergraph(cfg.n, [e.tolist() for e in edges])
             if step == 0 and achieved > target:
                 break
             if step == 1 and achieved < target:

@@ -197,6 +197,23 @@ class TestSynth:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["inf", "1e300", "1e-200"])
+    def test_sigma_whose_square_is_not_positive_and_finite_is_a_domain_failure(
+        self, tmp_path, capsys, sigma
+    ):
+        code = _run(
+            "synth",
+            "--nodes", "50",
+            "--edges", "4=5",
+            "--overlap", "0.1",
+            "--sigma", sigma,
+            "--out", str(tmp_path / "ds"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: sigma")
+        assert not (tmp_path / "ds").exists()
+
 
 class TestEval:
     def test_perfect_prediction(self, tmp_path, capsys):
@@ -334,6 +351,22 @@ class TestSweep:
         assert "+/-" in printed
         for row in summaries:
             assert f"min-gap {float(row['gap']):.3f}" in printed
+
+    def test_bad_sigma_gives_error_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = _run(
+            "sweep",
+            "--axis", "overlap",
+            "--values", "0.0,0.2",
+            "--reps", "2",
+            "--sigma", "inf",
+            "--out", str(out),
+        )
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["error:DomainError"] * 4
+        assert capsys.readouterr().err == ""
 
     def test_unparseable_grid_value_exits_with_input_failure(self, tmp_path, capsys):
         code = _run(

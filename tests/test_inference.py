@@ -20,6 +20,7 @@ from hyperinfer import (
     SmoothnessVariant,
     SynthConfig,
     TopM,
+    build_hypergraph,
     generate_candidates,
     infer_hypergraph,
     infer_probabilities,
@@ -28,6 +29,7 @@ from hyperinfer import (
     score_candidates,
     select_edges,
 )
+from hyperinfer.inference import _selection_order
 from hyperinfer.theory import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -393,6 +395,20 @@ class TestSelectEdges:
     def test_zero_selection_gives_empty_hypergraph(self):
         cs = _pool(4, [(0, 1)], np.array([0.5]))
         assert select_edges(cs, TopM(0)).m == 0
+
+    @pytest.mark.parametrize(
+        "spec, quotas", [(TopM(40), {None: 40}), (PerSize({3: 15, 5: 10}), {3: 15, 5: 10})]
+    )
+    def test_equals_build_hypergraph_on_the_chosen_rows(self, spec, quotas):
+        # The selection skips the rebuild: the pool's rows are already checked.
+        x = np.random.default_rng(5).normal(size=(30, 3))
+        cs, h = infer_hypergraph(x, [3, 5], spec)
+        order = _selection_order(cs)
+        chosen = np.concatenate(
+            [order[(cs.row_sizes[order] == k) | (k is None)][:want] for k, want in quotas.items()]
+        )
+        assert h == build_hypergraph(cs.n, cs.edges(chosen), weights=cs.probs[chosen].tolist())
+        assert type(h.n) is int and all(type(v) is int for e in h.edges for v in e)
 
 
 class TestFullPipeline:

@@ -70,7 +70,8 @@ class TestGaussianModelConfig:
         assert cfg.dim == 1000
         assert cfg.seed == 0
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    # 1e300 squares to inf and 1e-200 to 0: the ridge sigma^2 must be positive and finite.
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, -np.inf, np.nan, 1e300, 1e-200])
     def test_sigma_must_be_positive(self, sigma):
         with pytest.raises(DomainError, match="sigma"):
             GaussianModelConfig(sigma=sigma)

@@ -4,7 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from conftest import hypergraphs
 from hyperinfer import (
     DomainError,
     InfeasibleError,
@@ -17,6 +19,7 @@ from hyperinfer import (
     overlap_rate,
     variant_edge_smoothness,
 )
+from hyperinfer.synth import _edge_draws, _plant
 
 
 class TestOverlapRate:
@@ -40,6 +43,14 @@ class TestOverlapRate:
     def test_empty_hypergraph_rejected(self):
         with pytest.raises(DomainError, match="no hyperedges"):
             overlap_rate(build_hypergraph(4, []))
+
+    @given(hypergraphs(max_n=12, max_edges=8))
+    def test_matches_a_plain_count(self, h):
+        membership = [sum(v in e for e in h.edges) for v in range(h.n)]
+        expected = [sum(membership[v] >= 2 for v in e) / len(e) for e in h.edges]
+        per_edge, avg = overlap_rate(h)
+        assert per_edge.tolist() == expected
+        assert avg == float(np.mean(expected))
 
 
 class TestSynthConfig:
@@ -119,7 +130,8 @@ class TestGenerateGroundTruth:
     # Recorded planter output. Together these configs take the donor path, the
     # lowest-degree fallback, duplicate retries and plants that get stuck, so
     # a change to any of them, or to the order of the RNG draws, shows here.
-    # The mixed n=600 configs draw among many donors tied on burden.
+    # The mixed n=600 configs draw among many donors tied on burden; the n=3000
+    # config is the synth-mixed benchmark workload's.
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
@@ -129,6 +141,8 @@ class TestGenerateGroundTruth:
             (40, {3: 4, 5: 4}, 0.3, 0, "e97ad8c477405acc39d6b50275dd50217d1a300550c44fad69bf5049215e74ad"),
             (600, {3: 60, 8: 60}, 0.3, 0, "5a7349c8a8ca033b96e91551f0bc5e5bb7779ce50fafe96e701fa8cd4e0e8e81"),
             (600, {3: 60, 8: 60}, 0.5, 1, "df997885b32a32c5c76fedf84e97807179d4a70a9eadce2a6d9d0e52d85ffee0"),
+            (3000, {3: 300, 8: 300}, 0.3, 0, "398bdba17ac2ef9181b84192664f525facb172ebcc7e19d1172716de355702ca"),
+            (1000, {4: 100, 8: 100}, 0.5, 0, "c28e7d820a365639ac53c0a4080637fa7490ec2b7424b5fb980ca4545ff3943c"),
         ],
     )
     def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
@@ -144,6 +158,30 @@ class TestGenerateGroundTruth:
             "could not reach overlap 0.6 within 0.05 for n=20, edges {4: 10}; "
             "closest gap over 50 attempts was 0.400"
         )
+
+    def test_each_edge_is_seeded_once_per_attempt(self, monkeypatch):
+        # Trial plants restart each edge's generator from a saved state; seeding
+        # it again per trial would cost far more than the draws it makes.
+        seeds = []
+        seed_generator = np.random.default_rng
+
+        def counting(seed):
+            seeds.append(tuple(seed))
+            return seed_generator(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        generate_ground_truth(SynthConfig(n=100, edge_spec={8: 12}, target_overlap=0.3, seed=0))
+        attempts = {key[:-1] for key in seeds}
+        assert seeds and len(seeds) <= 12 * len(attempts)
+        assert len(set(seeds)) == len(seeds)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.6])
+    def test_a_trial_plant_measures_its_own_overlap_rate(self, lam):
+        sizes = [3] * 8 + [5] * 8
+        plant = _plant(60, sizes, lam, _edge_draws((4, 1, 0), len(sizes)))
+        assert plant is not None
+        edges, achieved = plant
+        assert achieved == overlap_rate(build_hypergraph(60, edges))[1]
 
     @pytest.mark.parametrize("target", [0.0, 0.1, 0.3, 0.5])
     def test_achieved_overlap_tracks_the_target(self, target):
