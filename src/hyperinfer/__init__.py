@@ -1,6 +1,6 @@
 """Hypergraph structure inference from node features under a smoothness prior."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     DomainError,

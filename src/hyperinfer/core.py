@@ -56,6 +56,12 @@ class PerSize:
 SelectionSpec = Union[TopM, PerSize]
 
 
+def check_seed(seed) -> None:
+    """Reject a seed numpy's generators would refuse: it must be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def build_hypergraph(
     n: int,
     edges: Iterable[Iterable[int]],

@@ -52,7 +52,8 @@ def read_hypergraph(path) -> Hypergraph:
     """Read a hypergraph JSON, rejecting values JSON types would let through.
 
     ``n`` and every node id must be JSON integers and every weight a number;
-    strings, floats and booleans in their place are errors, not coerced.
+    strings, floats and booleans in their place are errors, not coerced. ``n``
+    must also fit ``np.intp``, the index type every array over the nodes uses.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
@@ -60,6 +61,8 @@ def read_hypergraph(path) -> Hypergraph:
     n, edges, weights = payload["n"], payload["edges"], payload.get("weights")
     if not _is_int(n):
         raise DomainError(f"{path}: 'n' must be an integer, got {n!r}")
+    if n > np.iinfo(np.intp).max:
+        raise DomainError(f"{path}: 'n' is {n}, more nodes than an index array can address")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
     ):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linear_sum_assignment
 
 from .core import DomainError, Hypergraph
 from .inference import CandidateSet
@@ -69,6 +68,8 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     scaled by the truth matrix's squared norm, so 0 means identical edge sets
     and values above 1 are possible for badly inflated predictions.
     """
+    from scipy.optimize import linear_sum_assignment  # deferred: a quarter second of import
+
     _check_same_n(pred, truth)
     if pred.m == 0 or truth.m == 0:
         raise DomainError("hypergraph has no hyperedges")

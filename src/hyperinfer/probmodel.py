@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
-from .core import DomainError, Hypergraph, incidence_matrix
+from .core import DomainError, Hypergraph, check_seed, incidence_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +84,7 @@ class GaussianModelConfig:
             )
         if self.dim < 1:
             raise DomainError(f"feature dimension must be >= 1, got {self.dim}")
+        check_seed(self.seed)
 
 
 def incidence_laplacian(h: Hypergraph) -> IncidenceLaplacian:
@@ -140,6 +140,8 @@ def sample_features(
     nnz(H) dim) cost. Deterministic for a fixed seed. Returns (node rows,
     hyperedge rows).
     """
+    import scipy.linalg  # deferred: about a quarter second of import that inference never needs
+
     inc = lap.incidence
     var = cfg.sigma**2
     a = np.bincount(inc.indices, weights=inc.data, minlength=lap.n) + var

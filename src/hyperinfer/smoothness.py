@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_features
+from .core import DomainError, as_features, check_seed
 
 VARIANT_KINDS = ("max", "mean", "min", "random")
 
@@ -36,6 +36,8 @@ class SmoothnessVariant:
             )
         if self.kind == "random" and self.seed is None:
             raise DomainError("random smoothness variant requires an explicit seed")
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.ndarray:

@@ -9,6 +9,7 @@ model over the planted structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
@@ -57,7 +58,7 @@ class SynthConfig:
             raise DomainError(
                 f"target overlap must lie in [0, 1), got {self.target_overlap}"
             )
-        GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)  # checks sigma, dim
+        GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)  # checks sigma, dim, seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +100,7 @@ def _donor_pool(exclusive: np.ndarray, sizes: np.ndarray, shared: int) -> np.nda
     and chain patterns, where every node sits in at most two edges, which
     keeps any overlap level structurally recoverable.
     """
-    able = np.flatnonzero(exclusive >= shared)
+    able = (exclusive >= shared).nonzero()[0]
     if len(able) == 0:
         return able
     burden = sizes[able] - exclusive[able]
@@ -107,12 +108,12 @@ def _donor_pool(exclusive: np.ndarray, sizes: np.ndarray, shared: int) -> np.nda
 
 
 def _draw_shared(
-    edges: list[np.ndarray],
+    edges: list[tuple[int, ...]],
     donors: np.ndarray,
-    degree: np.ndarray,
+    degree: list[int],
     shared: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[int]:
     """Pick the shared nodes for a new edge: from one random donor if there is any.
 
     Only when no donor exists does the draw fall back to the lowest-degree
@@ -120,12 +121,31 @@ def _draw_shared(
     """
     if len(donors):
         donor = edges[donors[rng.integers(len(donors))]]
-        exclusive = donor[degree[donor] == 1]
-        return exclusive[rng.permutation(len(exclusive))[:shared]]
-    covered = np.flatnonzero(degree)
+        exclusive = [v for v in donor if degree[v] == 1]
+        return [exclusive[i] for i in rng.permutation(len(exclusive))[:shared].tolist()]
+    degrees = np.array(degree)
+    covered = np.flatnonzero(degrees)
     perm = rng.permutation(len(covered))
-    ranked = perm[np.argsort(degree[covered[perm]], kind="stable")]
-    return covered[ranked[:shared]]
+    ranked = perm[np.argsort(degrees[covered[perm]], kind="stable")]
+    return covered[ranked[:shared]].tolist()
+
+
+def _draw_fresh(pool: list[int], live: int, count: int, rng: np.random.Generator) -> list[int]:
+    """Take ``count`` nodes uniformly without replacement from ``pool[:live]``.
+
+    Draw j is an integer uniform on [0, live - j), with integer bounds: a
+    scaled float such as int(u * live) can round up to live. Each pick swaps
+    with the last live entry, so afterwards ``pool[:live - count]`` holds the
+    nodes not taken and the cost is O(count), whatever the pool's length.
+    """
+    fresh = []
+    for pick in rng.integers(0, np.arange(live, live - count, -1)).tolist():
+        live -= 1
+        node = pool[pick]
+        pool[pick] = pool[live]
+        pool[live] = node
+        fresh.append(node)
+    return fresh
 
 
 _EdgeDraws = tuple[float, np.random.Generator, dict]
@@ -150,10 +170,10 @@ def _plant(
     edge_sizes: list[int],
     lam: float,
     draws: list[_EdgeDraws],
-) -> tuple[list[np.ndarray], float] | None:
+) -> tuple[list[tuple[int, ...]], float] | None:
     """Plant edges sequentially with shared fraction lam; None if stuck on duplicates.
 
-    Returns the edges, as ascending node arrays, and their overlap_rate mean.
+    Returns the edges, as ascending node tuples, and their overlap_rate mean.
     Edge idx rounds lam * k with ``draws[idx]``'s u, then draws its nodes
     from its generator reset to the saved state, so for fixed draws the node
     choices are coupled across different lam values: raising lam mainly
@@ -161,51 +181,54 @@ def _plant(
     and makes bisection meaningful.
 
     The planting state is the degree of every node, the edge that owns each
-    degree-1 node, the count of exclusive nodes of every planted edge, and
-    the uncovered nodes as one ascending array, from which each edge's fresh
-    nodes are deleted; the covered count is n minus its length. Planting an
-    edge of size k updates the first three in O(k). The donor pool is fixed
-    across duplicate retries. An edge that shares no node has no shared draw
-    and, with k fresh nodes, cannot repeat an earlier edge.
+    degree-1 node, the count of exclusive nodes of every planted edge, and a
+    swap-remove pool whose first ``live`` entries are the uncovered nodes
+    (``_draw_fresh``); the covered count is n - live. Planting an edge of
+    size k costs O(k) outside the donor pool, which is O(edges planted). The
+    donor pool is fixed across duplicate retries. An edge that shares no node
+    has no shared draw and, with k fresh nodes, cannot repeat an earlier edge.
     """
-    degree = np.zeros(n, dtype=np.intp)
-    owner = np.zeros(n, dtype=np.intp)
+    degree = [0] * n
+    owner = [0] * n
     sizes = np.array(edge_sizes)
     exclusive = np.zeros(len(edge_sizes), dtype=np.intp)
-    uncovered = np.arange(n)
-    edges: list[np.ndarray] = []
+    pool = list(range(n))
+    live = n
+    edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
     for idx, (k, (u, rng, state)) in enumerate(zip(edge_sizes, draws)):
         rng.bit_generator.state = state
         target_shared = lam * k
-        shared = int(np.floor(target_shared))
+        shared = math.floor(target_shared)
         if u < target_shared - shared:
             shared += 1
-        shared = min(shared, k, n - len(uncovered))
-        shared = max(shared, k - len(uncovered))
-        pick = rng.permutation(len(uncovered))[: k - shared]
-        fresh = uncovered[pick]
-        uncovered = np.delete(uncovered, pick)
+        shared = max(min(shared, k, n - live), k - live)
+        fresh = _draw_fresh(pool, live, k - shared, rng)
+        live -= k - shared
         if shared == 0:
-            nodes = np.sort(fresh)
+            nodes = tuple(sorted(fresh))
         else:
             donors = _donor_pool(exclusive[:idx], sizes[:idx], shared)
             for _ in range(_DUPLICATE_RETRIES):
-                drawn = _draw_shared(edges, donors, degree, shared, rng)
-                nodes = np.sort(np.concatenate((drawn, fresh)))
-                if tuple(nodes.tolist()) not in taken:
+                nodes = tuple(sorted(_draw_shared(edges, donors, degree, shared, rng) + fresh))
+                if nodes not in taken:
                     break
             else:
                 return None
-        taken.add(tuple(nodes.tolist()))
+        taken.add(nodes)
         edges.append(nodes)
-        seen = degree[nodes]
-        first = nodes[seen == 0]
-        owner[first] = idx
-        exclusive[idx] = len(first)
-        np.subtract.at(exclusive, owner[nodes[seen == 1]], 1)
-        degree[nodes] += 1
-    return edges, _overlap(degree, np.concatenate(edges), sizes)[1]
+        first = 0
+        for v in nodes:
+            seen = degree[v]
+            if seen == 0:
+                owner[v] = idx
+                first += 1
+            elif seen == 1:
+                exclusive[owner[v]] -= 1
+            degree[v] = seen + 1
+        exclusive[idx] = first
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(sizes.sum()))
+    return edges, _overlap(np.array(degree), flat, sizes)[1]
 
 
 def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
@@ -240,7 +263,7 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
             gap = abs(achieved - target)
             best_gap = min(best_gap, gap)
             if gap <= OVERLAP_TOLERANCE:
-                return build_hypergraph(cfg.n, [e.tolist() for e in edges])
+                return build_hypergraph(cfg.n, edges)
             if step == 0 and achieved > target:
                 break
             if step == 1 and achieved < target:

@@ -20,16 +20,21 @@ def _run(*argv):
     return main(list(argv))
 
 
-def _run_module(*argv):
-    """``python -m hyperinfer`` in a child process that imports this same package."""
+def _run_python(*argv):
+    """``python *argv`` in a child process that imports this same package."""
     src = str(Path(hyperinfer.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "hyperinfer", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_module(*argv):
+    """``python -m hyperinfer`` in a child process."""
+    return _run_python("-m", "hyperinfer", *argv)
 
 
 class TestInfer:
@@ -80,6 +85,23 @@ class TestInfer:
             "--out", str(tmp_path / "pred.json"),
         )
         assert code == 3
+
+    def test_negative_random_variant_seed_is_a_domain_failure(self, tmp_path, capsys):
+        features = tmp_path / "x.csv"
+        write_features(features, np.random.default_rng(2).normal(size=(30, 2)))
+        code = _run(
+            "infer",
+            "--features", str(features),
+            "--sizes", "3",
+            "--top-m", "2",
+            "--variant", "random",
+            "--seed", "-5",
+            "--out", str(tmp_path / "pred.json"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert not (tmp_path / "pred.json").exists()
 
     def test_missing_features_file_exits_with_input_failure(self, tmp_path):
         code = _run(
@@ -214,6 +236,12 @@ class TestSynth:
         assert err.count("\n") == 1 and err.startswith("error: sigma")
         assert not (tmp_path / "ds").exists()
 
+    def test_negative_seed_is_a_domain_failure(self, tmp_path, capsys):
+        assert self._generate(tmp_path / "ds", seed="-1") == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "ds").exists()
+
 
 class TestEval:
     def test_perfect_prediction(self, tmp_path, capsys):
@@ -306,10 +334,12 @@ class TestEval:
             ("--pred", "bool_node.json", '{"n": 3, "edges": [[true, 2]]}'),
             ("--pred", "bool_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [true]}'),
             ("--candidates", "repeated_node.csv", "nodes,size,anchor,s_prime,prob\n0;0;1,3,0,1.0,0.5\n"),
+            ("--pred", "huge_n.json", '{"n": 99999999999999999999999, "edges": [[0, 1]]}'),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
+            "huge-n",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):
@@ -368,6 +398,28 @@ class TestSweep:
         assert [r["status"] for r in rows] == ["error:DomainError"] * 4
         assert capsys.readouterr().err == ""
 
+    def test_negative_seeds_give_error_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = _run(
+            "sweep",
+            "--axis", "overlap",
+            "--values", "0.0,0.2",
+            "--reps", "4",
+            "--nodes", "40",
+            "--edges", "4=4",
+            "--dim", "16",
+            "--seed", "-3",
+            "--out", str(out),
+        )
+        assert code == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["seed"] != "summary"]
+        assert [(r["seed"], r["status"]) for r in rows] == 2 * [
+            ("-3", "error:DomainError"), ("-2", "error:DomainError"),
+            ("-1", "error:DomainError"), ("0", "ok"),
+        ]
+        assert capsys.readouterr().err == ""
+
     def test_unparseable_grid_value_exits_with_input_failure(self, tmp_path, capsys):
         code = _run(
             "sweep",
@@ -408,6 +460,17 @@ class TestEntrypoints:
         assert proc.returncode == 0
         assert "infer" in proc.stdout
         assert "synth" in proc.stdout
+
+    def test_importing_the_cli_leaves_out_scipy_linalg_and_optimize(self):
+        # Only sampling needs scipy.linalg and only hgmse needs scipy.optimize;
+        # together they are about half a second of every command's start-up.
+        proc = _run_python(
+            "-c",
+            "import sys, hyperinfer.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -76,6 +76,11 @@ class TestGaussianModelConfig:
         with pytest.raises(DomainError, match="sigma"):
             GaussianModelConfig(sigma=sigma)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            GaussianModelConfig(seed=seed)
+
     def test_dimension_must_be_positive(self):
         with pytest.raises(DomainError, match="dimension"):
             GaussianModelConfig(dim=0)

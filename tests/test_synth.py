@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.stats import chisquare
 
 from conftest import hypergraphs
 from hyperinfer import (
@@ -19,7 +20,25 @@ from hyperinfer import (
     overlap_rate,
     variant_edge_smoothness,
 )
-from hyperinfer.synth import _edge_draws, _plant
+from hyperinfer.synth import _draw_fresh, _edge_draws, _plant
+
+
+class _CountingGenerator:
+    """A numpy Generator that records how many values each integers or permutation draw returns."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self._counts.append(np.size(out))
+        return out
+
+    def permutation(self, x):
+        out = self._rng.permutation(x)
+        self._counts.append(len(out))
+        return out
 
 
 class TestOverlapRate:
@@ -135,14 +154,14 @@ class TestGenerateGroundTruth:
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
-            (100, {8: 12}, 0.3, 0, "4b9579d86ba3b44fdb25004e7de0b2321a1fd49772d89367964aa1d07089df8d"),
-            (100, {8: 12}, 0.5, 2, "59271e688a4b64fd675aa5106393c15671eed43e52d8e658d5d03df719b1385e"),
-            (100, {8: 12}, 0.0, 1, "bc75ed57c84ede3e5126b19293f16a0757c2c75d93764203b97e953730e2f57f"),
-            (40, {3: 4, 5: 4}, 0.3, 0, "e97ad8c477405acc39d6b50275dd50217d1a300550c44fad69bf5049215e74ad"),
-            (600, {3: 60, 8: 60}, 0.3, 0, "5a7349c8a8ca033b96e91551f0bc5e5bb7779ce50fafe96e701fa8cd4e0e8e81"),
-            (600, {3: 60, 8: 60}, 0.5, 1, "df997885b32a32c5c76fedf84e97807179d4a70a9eadce2a6d9d0e52d85ffee0"),
-            (3000, {3: 300, 8: 300}, 0.3, 0, "398bdba17ac2ef9181b84192664f525facb172ebcc7e19d1172716de355702ca"),
-            (1000, {4: 100, 8: 100}, 0.5, 0, "c28e7d820a365639ac53c0a4080637fa7490ec2b7424b5fb980ca4545ff3943c"),
+            (100, {8: 12}, 0.3, 0, "63576ecbeaad6abcacb4e765cd927205c43c1d8a0638cb9b56a122028fdf68c3"),
+            (100, {8: 12}, 0.5, 2, "d7c7628f9f1bcd999e7e33b3c216907615406786f1828b94495f0eff5061f425"),
+            (100, {8: 12}, 0.0, 1, "ffdc67ba7c1da6165b04ea9e67221b93fcad5e17d6933b2b264bd6886a481df7"),
+            (40, {3: 4, 5: 4}, 0.3, 0, "d800830a2ec80711f1c0dd97f7a09cc3e80da9f7048eafc48bd4f3e4835b0535"),
+            (600, {3: 60, 8: 60}, 0.3, 0, "ced1478778e6c7b6f42b35f6f1a5c2a63db6582904e9c6de7296ac97d5039a1f"),
+            (600, {3: 60, 8: 60}, 0.5, 1, "eb8e2f95278385ed1b96312b7c5639e35428ef43cf22ee9bb1740019552ffe58"),
+            (3000, {3: 300, 8: 300}, 0.3, 0, "6c431110e1c722be6c9183d8652eae8ceaa75872458e2809a3eec6bd3f56700c"),
+            (1000, {4: 100, 8: 100}, 0.5, 0, "85ca498aa3010701d20d81319e6b4ad15b068a295838d5d085fa92d996b7125f"),
         ],
     )
     def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
@@ -182,6 +201,41 @@ class TestGenerateGroundTruth:
         assert plant is not None
         edges, achieved = plant
         assert achieved == overlap_rate(build_hypergraph(60, edges))[1]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5])
+    def test_a_plant_draws_o_k_values_per_edge(self, lam):
+        # Every draw is sized by an edge (its fresh nodes, a donor's exclusive
+        # nodes, one donor index), never by the n uncovered nodes, so a plant
+        # stays O(sum of k) however large n grows.
+        sizes = [8] * 1000
+        counts: list[int] = []
+        draws = [
+            (u, _CountingGenerator(rng, counts), state)
+            for u, rng, state in _edge_draws((0, 1, 0), len(sizes))
+        ]
+        assert _plant(10_000, sizes, lam, draws) is not None
+        assert max(counts) <= 8
+        assert sum(counts) <= 3 * sum(sizes)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_fresh_draw_is_uniform_over_the_live_nodes(self, count):
+        # Ten nodes in scrambled order, the last three already taken: each of
+        # the seven live nodes must be picked count/7 of the time, and none of
+        # the taken ones ever. A draw that can never reach the last live entry
+        # leaves that node short by far more than the test's tolerance.
+        rng = np.random.default_rng(7)
+        start = [4, 9, 0, 7, 2, 5, 8, 1, 6, 3]
+        live, reps = 7, 7000
+        hits = np.zeros(10, dtype=int)
+        for _ in range(reps):
+            pool = list(start)
+            fresh = _draw_fresh(pool, live, count, rng)
+            assert sorted(pool[: live - count] + fresh) == sorted(start[:live])
+            assert pool[live:] == start[live:]
+            hits[fresh] += 1
+        assert hits[start[live:]].sum() == 0
+        observed = hits[start[:live]]
+        assert chisquare(observed).pvalue > 1e-3
 
     @pytest.mark.parametrize("target", [0.0, 0.1, 0.3, 0.5])
     def test_achieved_overlap_tracks_the_target(self, target):
