@@ -9,9 +9,11 @@ comparisons are cheap; node indices are 0-based everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 
 class DomainError(ValueError):
@@ -70,17 +72,20 @@ def build_hypergraph(
     """Validate and canonicalise a hypergraph.
 
     Edge node lists are turned into sorted tuples; duplicate node sets,
-    out-of-range indices, edges smaller than 2 nodes, and weights outside
-    (0, 1] are rejected.
+    out-of-range indices, edges smaller than 2 nodes, a node repeated within
+    an edge, and weights outside (0, 1] are rejected.
     """
     if n < 1:
         raise DomainError(f"node count must be positive, got {n}")
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for raw in edges:
-        edge = tuple(sorted(set(int(v) for v in raw)))
+        nodes = [int(v) for v in raw]
+        edge = tuple(sorted(set(nodes)))
         if len(edge) < 2:
             raise DomainError(f"hyperedge {edge} is too small (need >= 2 distinct nodes)")
+        if len(edge) != len(nodes):
+            raise DomainError(f"hyperedge {tuple(nodes)} repeats a node id")
         if edge[0] < 0 or edge[-1] >= n:
             raise DomainError(f"hyperedge {edge} has a node index out of range [0, {n})")
         if edge in seen:
@@ -100,13 +105,23 @@ def build_hypergraph(
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
 
 
+def incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
+    """The sparse n x m incidence H, the one place edge lists become a matrix.
+
+    Column i holds edge i's nodes in ascending order, each valued at the
+    edge's weight (1 if unweighted): ``indices`` is the flat node list and
+    ``np.diff(indptr)`` the edge sizes. Built in O(nnz).
+    """
+    sizes = [len(e) for e in h.edges]
+    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sum(sizes))
+    starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)
+    return scipy.sparse.csc_matrix((np.repeat(weights, sizes), nodes, starts), shape=(h.n, h.m))
+
+
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
-    """n x m incidence matrix; column i carries the weight of edge i (1 if unweighted)."""
-    mat = np.zeros((h.n, h.m))
-    for i, edge in enumerate(h.edges):
-        w = h.weights[i] if h.weights is not None else 1.0
-        mat[list(edge), i] = w
-    return mat
+    """``incidence(h)`` as a dense n x m array."""
+    return incidence(h).toarray()
 
 
 def as_features(x, *, name: str = "features") -> np.ndarray:

@@ -96,8 +96,8 @@ def write_candidates(path, cs: CandidateSet) -> None:
 def load_candidates(path, n: int) -> CandidateSet:
     """Read a candidates CSV back into a fully scored pool over n nodes.
 
-    Every row must have exactly one field per header column and distinct node
-    ids, in any order; blank lines are skipped.
+    Every row must have exactly one field per header column and distinct,
+    non-negative node ids, in any order; blank lines are skipped.
     """
     node_lists, anchors, scores, probs = [], [], [], []
     with open(path, newline="") as fh:
@@ -117,6 +117,8 @@ def load_candidates(path, n: int) -> CandidateSet:
                 raise DomainError(f"{where}: row for {node_list} declares size {size}")
             if len(set(nodes)) != len(nodes):
                 raise DomainError(f"{where}: node ids repeat in {node_list}")
+            if nodes[0] < 0:
+                raise DomainError(f"{where}: node id {nodes[0]} is negative")
             node_lists.append(nodes)
             anchors.append(int(anchor))
             scores.append(float(s_prime))

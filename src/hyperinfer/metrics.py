@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .core import DomainError, Hypergraph
+from .core import DomainError, Hypergraph, incidence
 from .inference import CandidateSet
 
 
@@ -52,13 +51,6 @@ def f1_exact(pred: Hypergraph, truth: Hypergraph) -> MatchReport:
     return MatchReport(true_positives=tp, precision=precision, recall=recall, f1=f1)
 
 
-def _sparse_incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
-    """Binary n x m incidence matrix with one stored entry per (node, edge) pair."""
-    nodes = [v for edge in h.edges for v in edge]
-    cols = np.repeat(np.arange(h.m), [len(edge) for edge in h.edges])
-    return scipy.sparse.csc_matrix((np.ones(len(nodes)), (nodes, cols)), shape=(h.n, h.m))
-
-
 def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     """Squared incidence error after the best one-to-one column alignment.
 
@@ -73,8 +65,9 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     _check_same_n(pred, truth)
     if pred.m == 0 or truth.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    p = _sparse_incidence(pred)
-    t = _sparse_incidence(truth)
+    # Both sides rebuilt without weights: the error compares binary incidences.
+    p = incidence(Hypergraph(pred.n, pred.edges))
+    t = incidence(Hypergraph(truth.n, truth.edges))
     inter = (p.T @ t).toarray()
     rows, cols = linear_sum_assignment(inter, maximize=True)
     matched = float(inter[rows, cols].sum())

@@ -10,20 +10,19 @@ is what the synthetic sampler draws from.
 The sampler never forms that (n+m) x (n+m) precision. Its node block
 A = diag(H 1) + sigma^2 I is diagonal, so block elimination of the nodes
 leaves the m x m Schur complement S = diag(H^T 1) + sigma^2 I - H^T A^-1 H,
-and the upper Cholesky factor of the precision is
-[[A^1/2, -A^-1/2 H], [0, chol(S)]]. Sampling costs O(m^3 + nnz(H) d) time
-and O(m^2 + (n+m) d) memory.
+one sparse product over H from ``core.incidence``, and the upper Cholesky
+factor of the precision is [[A^1/2, -A^-1/2 H], [0, chol(S)]]. Sampling
+costs O(m^3 + nnz(H) d) time and O(m^2 + (n+m) d) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse
 
-from .core import DomainError, Hypergraph, check_seed, incidence_matrix
+from .core import DomainError, Hypergraph, check_seed, incidence, incidence_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,13 +53,7 @@ class IncidenceLaplacian:
     def matrix(self) -> np.ndarray:
         """The dense block Laplacian; rows sum to zero and it is PSD for any valid weights."""
         inc = incidence_matrix(self.hypergraph)
-        n = self.n
-        lap = np.zeros((self.size, self.size))
-        lap[:n, :n] = np.diag(inc.sum(axis=1))
-        lap[n:, n:] = np.diag(inc.sum(axis=0))
-        lap[:n, n:] = -inc
-        lap[n:, :n] = -inc.T
-        return lap
+        return np.block([[np.diag(inc.sum(axis=1)), -inc], [-inc.T, np.diag(inc.sum(axis=0))]])
 
 
 @dataclass(frozen=True)
@@ -88,43 +81,8 @@ class GaussianModelConfig:
 
 
 def incidence_laplacian(h: Hypergraph) -> IncidenceLaplacian:
-    """The incidence-graph Laplacian of h, weighted columns included.
-
-    Builds the sparse incidence column by column straight from the edge
-    lists, in O(nnz).
-    """
-    sizes = [len(e) for e in h.edges]
-    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sum(sizes))
-    starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-    weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)
-    inc = scipy.sparse.csc_matrix((np.repeat(weights, sizes), nodes, starts), shape=(h.n, h.m))
-    return IncidenceLaplacian(hypergraph=h, incidence=inc)
-
-
-def _schur_complement(inc: scipy.sparse.csc_matrix, a: np.ndarray, var: float) -> np.ndarray:
-    """S = diag(H^T 1) + var I - H^T diag(1/a) H, summed over the entry pairs of H sharing a node.
-
-    A node in d edges adds d^2 terms, so this costs O(nnz + sum of squared
-    node degrees) besides the m x m result.
-    """
-    n, m = inc.shape
-    edge = np.repeat(np.arange(m), np.diff(inc.indptr))
-    diagonal = np.bincount(edge, weights=inc.data, minlength=m) + var
-    order = np.argsort(inc.indices, kind="stable")
-    node, edge, weight = inc.indices[order], edge[order], inc.data[order]
-    degree = np.bincount(node, minlength=n)
-    span = degree[node]
-    # In this node-major order, entry j pairs with the span[j] entries of its
-    # node, which start at first[node[j]].
-    first = np.cumsum(degree) - degree
-    left = np.repeat(np.arange(len(node)), span)
-    right = np.arange(len(left)) + np.repeat(first[node] - (np.cumsum(span) - span), span)
-    gram = np.bincount(
-        edge[left] * m + edge[right],
-        weights=weight[left] * weight[right] / a[node[left]],
-        minlength=m * m,
-    )
-    return np.diag(diagonal) - gram.reshape(m, m)
+    """The incidence-graph Laplacian of h, weighted columns included."""
+    return IncidenceLaplacian(hypergraph=h, incidence=incidence(h))
 
 
 def sample_features(
@@ -145,8 +103,11 @@ def sample_features(
     inc = lap.incidence
     var = cfg.sigma**2
     a = np.bincount(inc.indices, weights=inc.data, minlength=lap.n) + var
+    scaled = inc.copy()
+    scaled.data /= a[inc.indices]  # H A^-1: each entry divided by its node's a
+    schur = np.diag(np.asarray(inc.sum(axis=0)).ravel() + var) - (inc.T @ scaled).toarray()
     try:
-        r = scipy.linalg.cholesky(_schur_complement(inc, a, var), lower=False)
+        r = scipy.linalg.cholesky(schur, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise DomainError(
             "precision matrix is not positive definite; the Laplacian is broken"

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, InfeasibleError, build_hypergraph
+from .core import DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence
 from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
@@ -74,9 +74,8 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     """Per-edge fraction of nodes that sit in at least two edges, and its mean."""
     if h.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    sizes = np.array([len(e) for e in h.edges])
-    flat = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sizes.sum())
-    return _overlap(np.bincount(flat, minlength=h.n), flat, sizes)
+    inc = incidence(h)
+    return _overlap(np.bincount(inc.indices, minlength=h.n), inc.indices, np.diff(inc.indptr))
 
 
 def _overlap(degree: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:

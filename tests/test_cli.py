@@ -301,6 +301,15 @@ class TestEval:
             "precision": 1.0, "recall": 1.0, "f1": 1.0, "hgmse": 0.0, "separation": {}
         }
 
+    def test_truth_edge_repeating_a_node_exits_with_input_failure(self, tmp_path, capsys):
+        # [0, 0, 1] is not the edge (0, 1); scoring it as one would report a
+        # perfect match.
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+        write_hypergraph(pred, build_hypergraph(3, [[0, 1]]))
+        truth.write_text('{"n": 3, "edges": [[0, 0, 1]]}')
+        assert _run("eval", "--pred", str(pred), "--truth", str(truth)) == 2
+        assert "hyperedge (0, 0, 1) repeats a node id" in capsys.readouterr().err
+
     def test_missing_file_exits_with_input_failure(self, tmp_path, capsys):
         truth = tmp_path / "truth.json"
         write_hypergraph(truth, build_hypergraph(3, [[0, 1]]))
@@ -335,11 +344,13 @@ class TestEval:
             ("--pred", "bool_weight.json", '{"n": 3, "edges": [[0, 1]], "weights": [true]}'),
             ("--candidates", "repeated_node.csv", "nodes,size,anchor,s_prime,prob\n0;0;1,3,0,1.0,0.5\n"),
             ("--pred", "huge_n.json", '{"n": 99999999999999999999999, "edges": [[0, 1]]}'),
+            ("--candidates", "negative_node.csv", "nodes,size,anchor,s_prime,prob\n-1;3;5;7,4,3,1.0,0.5\n"),
+            ("--pred", "repeated_node.json", '{"n": 3, "edges": [[0, 0, 1]]}'),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
-            "huge-n",
+            "huge-n", "negative-node", "repeated-node-json",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 
 from conftest import feature_matrices, hypergraphs
@@ -14,6 +15,7 @@ from hyperinfer import (
     incidence_matrix,
     normalize_features,
 )
+from hyperinfer.core import incidence
 
 
 class TestBuildHypergraph:
@@ -43,6 +45,10 @@ class TestBuildHypergraph:
     def test_repeated_node_within_edge_rejected(self):
         with pytest.raises(DomainError, match="too small"):
             build_hypergraph(3, [[1, 1]])
+
+    def test_node_repeated_within_a_larger_edge_rejected(self):
+        with pytest.raises(DomainError, match=r"hyperedge \(0, 0, 1\) repeats a node id"):
+            build_hypergraph(3, [[0, 0, 1]])
 
     def test_nonpositive_node_count_rejected(self):
         with pytest.raises(DomainError, match="positive"):
@@ -77,18 +83,24 @@ class TestBuildHypergraph:
 
 
 class TestIncidenceMatrix:
+    # Every case runs through the sparse builder and its dense form alike.
     def test_two_overlapping_edges(self):
         h = build_hypergraph(3, [[0, 1], [1, 2]])
         expected = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         assert np.array_equal(incidence_matrix(h), expected)
+        assert np.array_equal(incidence(h).toarray(), expected)
 
     def test_weights_fill_member_rows(self):
         h = build_hypergraph(2, [[0, 1]], weights=[0.5])
         assert np.array_equal(incidence_matrix(h), np.array([[0.5], [0.5]]))
+        assert incidence(h).data.tolist() == [0.5, 0.5]
 
     def test_empty_hypergraph_gives_n_by_zero(self):
         h = build_hypergraph(3, [])
         assert incidence_matrix(h).shape == (3, 0)
+        inc = incidence(h)
+        assert inc.shape == (3, 0) and inc.nnz == 0
+        assert inc.indptr.tolist() == [0]
 
     @given(hypergraphs(weighted=True))
     def test_column_support_matches_edges(self, h):
@@ -98,6 +110,15 @@ class TestIncidenceMatrix:
             support = np.nonzero(inc[:, j])[0]
             assert tuple(support.tolist()) == edge
             assert np.allclose(inc[list(edge), j], h.weights[j])
+
+    @given(hypergraphs(weighted=True))
+    def test_sparse_layout_is_the_flattened_edges(self, h):
+        inc = incidence(h)
+        assert isinstance(inc, scipy.sparse.csc_matrix)
+        assert inc.shape == (h.n, h.m)
+        assert inc.indices.tolist() == [v for edge in h.edges for v in edge]
+        assert np.diff(inc.indptr).tolist() == [len(edge) for edge in h.edges]
+        assert inc.data.tolist() == [w for edge, w in zip(h.edges, h.weights) for _ in edge]
 
 
 class TestSelectionSpecs:

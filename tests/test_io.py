@@ -139,6 +139,14 @@ class TestCandidateFiles:
         with pytest.raises(DomainError, match=r"cands.csv, line 3: node ids repeat in 0;0;1"):
             load_candidates(path, 5)
 
+    def test_negative_node_id_rejected_with_the_line(self, tmp_path):
+        # -1 is the pool's padding value; the row must be named as written,
+        # not as the pool would read it back.
+        path = tmp_path / "cands.csv"
+        path.write_text("nodes,size,anchor,s_prime,prob\n0;2,2,0,1.0,0.5\n-1;3;5;7,4,3,1.0,0.5\n")
+        with pytest.raises(DomainError, match=r"cands.csv, line 3: node id -1 is negative"):
+            load_candidates(path, 8)
+
     def test_rows_in_any_order_are_sorted(self, tmp_path):
         path = tmp_path / "cands.csv"
         path.write_text("nodes,size,anchor,s_prime,prob\n2;1;0,3,1,1.0,0.5\n4;3,2,4,2.0,0.25\n")

@@ -115,7 +115,11 @@ class TestHgmse:
             truth = build_hypergraph(
                 max(pred.n, truth.n), list(truth.edges)
             )
-            pred = build_hypergraph(truth.n, list(pred.edges))
+            # Predictions from the pipeline are weighted; hgmse must score
+            # their binary incidence, as the oracle does.
+            pred = build_hypergraph(
+                truth.n, list(pred.edges), weights=rng.uniform(0.05, 1.0, size=pred.m)
+            )
             assert hgmse(pred, truth) == pytest.approx(
                 _assignment_oracle(pred, truth), abs=1e-12
             )

@@ -169,6 +169,21 @@ class TestGenerateGroundTruth:
         edges = generate_ground_truth(cfg).edges
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
+    # Recorded sampler output: the exact bits of both feature blocks, so a
+    # change in how the Schur complement or its factor is summed shows here.
+    @pytest.mark.parametrize(
+        "n, spec, dim, seed, digest",
+        [
+            (100, {8: 12}, 64, 0, "d12f9826f4a0a4bf4e30874e4f4f06963eaac20cce14afc22d5fe2ede8146f02"),
+            (300, {3: 30, 8: 30}, 32, 1, "9f70aca893431fd22cf3f0942df8ffc3e4d0872b9ab2612c78152391ec12035d"),
+        ],
+    )
+    def test_sampled_features_match_the_recorded_output(self, n, spec, dim, seed, digest):
+        cfg = SynthConfig(n=n, edge_spec=spec, target_overlap=0.3, dim=dim, seed=seed)
+        ds = make_dataset(cfg)
+        blob = ds.x_nodes.tobytes() + ds.x_edges.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_failed_search_reports_the_recorded_closest_gap(self):
         cfg = SynthConfig(n=20, edge_spec={4: 10}, target_overlap=0.6, seed=0)
         with pytest.raises(InfeasibleError) as info:
