@@ -1,8 +1,8 @@
 """Command line front end: infer, synth, eval, sweep.
 
 Exit codes are a stable contract for scripting: 0 on success, 2 for unreadable
-or malformed input files, 3 for domain and feasibility failures. All error
-messages go to standard error.
+or malformed input files, 3 for domain and feasibility failures and for inputs
+too large for the memory available. All error messages go to standard error.
 """
 
 from __future__ import annotations
@@ -270,6 +270,10 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -112,17 +112,22 @@ def load_candidates(path, n: int) -> CandidateSet:
             if len(row) != len(CANDIDATE_FIELDS):
                 raise DomainError(f"{where}: {len(row)} fields, expected {len(CANDIDATE_FIELDS)}")
             node_list, size, anchor, s_prime, prob = row
-            nodes = sorted(int(tok) for tok in node_list.split(";"))
-            if int(size) != len(nodes):
+            try:
+                nodes = sorted(int(tok) for tok in node_list.split(";"))
+                size, anchor = int(size), int(anchor)
+                s_prime, prob = float(s_prime), float(prob)
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from exc
+            if size != len(nodes):
                 raise DomainError(f"{where}: row for {node_list} declares size {size}")
             if len(set(nodes)) != len(nodes):
                 raise DomainError(f"{where}: node ids repeat in {node_list}")
             if nodes[0] < 0:
                 raise DomainError(f"{where}: node id {nodes[0]} is negative")
             node_lists.append(nodes)
-            anchors.append(int(anchor))
-            scores.append(float(s_prime))
-            probs.append(float(prob))
+            anchors.append(anchor)
+            scores.append(s_prime)
+            probs.append(prob)
     width = max(map(len, node_lists), default=0)
     padded = [row + [-1] * (width - len(row)) for row in node_lists]
     nodes = np.array(padded, dtype=np.intp).reshape(len(padded), width)

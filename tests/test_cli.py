@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, files written, printed summaries."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ def _run(*argv):
     return main(list(argv))
 
 
-def _run_python(*argv):
+def _run_python(*argv, **kwargs):
     """``python *argv`` in a child process that imports this same package."""
     src = str(Path(hyperinfer.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -29,12 +30,13 @@ def _run_python(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
 
 
-def _run_module(*argv):
+def _run_module(*argv, **kwargs):
     """``python -m hyperinfer`` in a child process."""
-    return _run_python("-m", "hyperinfer", *argv)
+    return _run_python("-m", "hyperinfer", *argv, **kwargs)
 
 
 class TestInfer:
@@ -152,6 +154,44 @@ class TestInfer:
         assert err.value.code == 2
         assert "--per-size" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "synth_args, infer_args, pred_sha256, candidates_sha256",
+        [
+            (
+                ["--nodes", "100", "--edges", "8=12", "--dim", "64", "--seed", "0"],
+                ["--sizes", "8", "--per-size", "8=12"],
+                "972cb65fc7feb292273befe40687e188a3dc73f635386fa6c436bbfec954c44c",
+                "37129addea28602b8caff72f75ee821651af4755bcd060703273d2ae38294bcf",
+            ),
+            (
+                ["--nodes", "300", "--edges", "3=30,8=30", "--dim", "32", "--seed", "1"],
+                ["--sizes", "3,8", "--top-m", "60"],
+                "024bbd59ba8639ca8c84f77c8bc18add10cefdef7fa4245309dd391aa8081795",
+                "df12454ece0103e92d1aa477756f96dbbb99db8b34483c8687c76956eefa583c",
+            ),
+        ],
+        ids=["n100-per-size", "n300-mixed-top-m"],
+    )
+    def test_written_files_are_pinned(
+        self, tmp_path, synth_args, infer_args, pred_sha256, candidates_sha256
+    ):
+        # Digests recorded from synth then infer at one and at two BLAS threads;
+        # a change in what the pipeline selects, scores or writes changes them.
+        data = tmp_path / "data"
+        assert _run("synth", *synth_args, "--overlap", "0.3", "--out", str(data)) == 0
+        pred, pool = tmp_path / "pred.json", tmp_path / "candidates.csv"
+        code = _run(
+            "infer",
+            "--features", str(data / "node_features.csv"),
+            *infer_args,
+            "--normalize",
+            "--out", str(pred),
+            "--candidates", str(pool),
+        )
+        assert code == 0
+        assert hashlib.sha256(pred.read_bytes()).hexdigest() == pred_sha256
+        assert hashlib.sha256(pool.read_bytes()).hexdigest() == candidates_sha256
 
 
 class TestSynth:
@@ -319,6 +359,33 @@ class TestEval:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_running_out_of_memory_exits_with_one_error_line(self, tmp_path, monkeypatch):
+        # 20,000 disjoint pairs on each side: hgmse's dense 20,000 x 20,000
+        # intersection needs 3.2 GB, more than the child's address-space limit,
+        # so the allocation fails before any of it is touched.
+        if not sys.platform.startswith("linux"):
+            pytest.skip("RLIMIT_AS is enforced on Linux only")
+        import resource
+
+        limit = 1_500_000 * 1024
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        if hard != resource.RLIM_INFINITY and hard < limit:
+            pytest.skip("the address-space limit cannot be raised to the test's value")
+        edges = [[2 * i, 2 * i + 1] for i in range(20_000)]
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+        for path in (pred, truth):
+            path.write_text(json.dumps({"n": 80_000, "edges": edges}))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        proc = _run_module(
+            "eval", "--pred", str(pred), "--truth", str(truth),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: eval: out of memory")
+        assert "Traceback" not in proc.stderr
+
     def test_node_count_mismatch_exits_with_input_failure(self, tmp_path):
         pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
         write_hypergraph(pred, build_hypergraph(3, [[0, 1]]))
@@ -346,11 +413,12 @@ class TestEval:
             ("--pred", "huge_n.json", '{"n": 99999999999999999999999, "edges": [[0, 1]]}'),
             ("--candidates", "negative_node.csv", "nodes,size,anchor,s_prime,prob\n-1;3;5;7,4,3,1.0,0.5\n"),
             ("--pred", "repeated_node.json", '{"n": 3, "edges": [[0, 0, 1]]}'),
+            ("--candidates", "bad_size.csv", "nodes,size,anchor,s_prime,prob\n0;1,x,0,1.0,0.5\n"),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
-            "huge-n", "negative-node", "repeated-node-json",
+            "huge-n", "negative-node", "repeated-node-json", "non-integer-size",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):

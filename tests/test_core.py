@@ -1,4 +1,7 @@
-"""Hypergraph construction, incidence matrices, and feature validation."""
+"""Hypergraph construction, incidence matrices, feature validation, and the root API."""
+
+import importlib
+import types
 
 import numpy as np
 import pytest
@@ -6,16 +9,16 @@ import scipy.sparse
 from hypothesis import given
 
 from conftest import feature_matrices, hypergraphs
+import hyperinfer
 from hyperinfer import (
     DomainError,
     PerSize,
     TopM,
-    as_features,
     build_hypergraph,
     incidence_matrix,
     normalize_features,
 )
-from hyperinfer.core import incidence
+from hyperinfer.core import as_features, incidence
 
 
 class TestBuildHypergraph:
@@ -171,3 +174,44 @@ class TestNormalizeFeatures:
             assert np.array_equal(out, x)
         else:
             assert np.allclose(out * spread, x)
+
+
+ROOT_API = {
+    "__version__",
+    "DomainError", "InfeasibleError", "Hypergraph", "TopM", "PerSize",
+    "build_hypergraph", "incidence_matrix", "normalize_features",
+    "SmoothnessVariant", "GaussianModelConfig", "incidence_laplacian", "sample_features",
+    "CandidateSet", "generate_candidates", "score_candidates", "infer_probabilities",
+    "select_edges", "infer_hypergraph",
+    "SynthConfig", "make_dataset",
+    "f1_exact", "hgmse", "probability_separation",
+    "run_protocol", "run_sweep",
+}
+
+# Public names that live only in their modules, not at the package root.
+MODULE_ONLY = {
+    "core": ["SelectionSpec", "as_features"],
+    "smoothness": ["VARIANT_KINDS", "pairwise_sq_dists", "variant_edge_smoothness"],
+    "probmodel": ["IncidenceLaplacian"],
+    "synth": ["OVERLAP_TOLERANCE", "SyntheticDataset", "generate_ground_truth", "overlap_rate"],
+    "metrics": ["MatchReport", "SeparationReport"],
+    "experiments": ["SWEEP_AXES", "SWEEP_COLUMNS", "ProtocolResult"],
+}
+
+
+def test_root_exports_only_the_documented_api():
+    assert set(hyperinfer.__all__) == ROOT_API
+    assert len(hyperinfer.__all__) == len(ROOT_API)
+    for name in hyperinfer.__all__:
+        getattr(hyperinfer, name)
+    public = {
+        name
+        for name, value in vars(hyperinfer).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(hyperinfer.__all__)
+    for module, names in MODULE_ONLY.items():
+        mod = importlib.import_module(f"hyperinfer.{module}")
+        for name in names:
+            getattr(mod, name)
+            assert not hasattr(hyperinfer, name), name

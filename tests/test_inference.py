@@ -25,11 +25,11 @@ from hyperinfer import (
     infer_hypergraph,
     infer_probabilities,
     make_dataset,
-    pairwise_sq_dists,
     score_candidates,
     select_edges,
 )
 from hyperinfer.inference import _selection_order
+from hyperinfer.smoothness import pairwise_sq_dists
 from hyperinfer.theory import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])

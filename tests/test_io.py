@@ -1,6 +1,7 @@
 """Round-trips for the on-disk formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ class TestCandidateFiles:
         path = tmp_path / "cands.csv"
         path.write_text(f"nodes,size,anchor,s_prime,prob\n0;2,2,0,1.0,0.5\n{row}\n")
         with pytest.raises(DomainError, match=rf"cands.csv, line 3: {count} fields, expected 5"):
+            load_candidates(path, 5)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0;1,x,0,1.0,0.5", "invalid literal for int() with base 10: 'x'"),
+            ("0;1,2,0,1.0,abc", "could not convert string to float: 'abc'"),
+            ("0;;2,3,0,1.0,0.5", "invalid literal for int() with base 10: ''"),
+        ],
+        ids=["non-integer-size", "non-numeric-prob", "empty-node-id"],
+    )
+    def test_unparseable_field_rejected_with_the_line(self, tmp_path, row, message):
+        path = tmp_path / "cands.csv"
+        path.write_text(f"nodes,size,anchor,s_prime,prob\n0;2,2,0,1.0,0.5\n{row}\n")
+        with pytest.raises(DomainError, match=re.escape(f"cands.csv, line 3: {message}")):
             load_candidates(path, 5)
 
 

@@ -14,10 +14,9 @@ from hyperinfer import (
     SmoothnessVariant,
     build_hypergraph,
     generate_candidates,
-    pairwise_sq_dists,
     score_candidates,
-    variant_edge_smoothness,
 )
+from hyperinfer.smoothness import pairwise_sq_dists, variant_edge_smoothness
 from hyperinfer.theory import inference_objective, weighted_smoothness_ev
 
 TWO_POINTS = np.array([[1.0], [-1.0]])

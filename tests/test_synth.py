@@ -11,16 +11,20 @@ from conftest import hypergraphs
 from hyperinfer import (
     DomainError,
     InfeasibleError,
-    OVERLAP_TOLERANCE,
     SmoothnessVariant,
     SynthConfig,
     build_hypergraph,
-    generate_ground_truth,
     make_dataset,
-    overlap_rate,
-    variant_edge_smoothness,
 )
-from hyperinfer.synth import _draw_fresh, _edge_draws, _plant
+from hyperinfer.smoothness import variant_edge_smoothness
+from hyperinfer.synth import (
+    OVERLAP_TOLERANCE,
+    _draw_fresh,
+    _edge_draws,
+    _plant,
+    generate_ground_truth,
+    overlap_rate,
+)
 
 
 class _CountingGenerator:
