@@ -25,13 +25,13 @@ from .core import (
     TopM,
     as_features,
 )
-from .smoothness import SmoothnessVariant, pairwise_sq_dists, variant_edge_smoothness
+from .smoothness import SmoothnessVariant, pairwise_sq_dists, row_chunks, variant_edge_smoothness
 
 # Unused here, but perfbench/spans.py wraps this attribute of this module, so it stays bound.
 from .core import build_hypergraph  # noqa: F401
 
-# Rows per block of the neighbour search. A block holds a few float64 arrays
-# of _BLOCK_ROWS x n entries.
+# Rows per block of the neighbour search: one float64 array of _BLOCK_ROWS x n
+# distances, plus one row chunk of scratch at a time.
 _BLOCK_ROWS = 512
 
 
@@ -157,17 +157,23 @@ def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
     ``np.argpartition`` keeps r entries per row without sorting the row. A row
     with more than r entries at or below its r-th distance has a tie at the
     boundary, so every such entry is sorted and the r first are kept: this is
-    the order a stable argsort of the full row gives.
+    the order a stable argsort of the full row gives. Each row is handled
+    alone, over the ``row_chunks`` of ``d``, so the partition indices and the
+    tie mask exist for one chunk at a time, never for the whole block.
     """
     rows = np.arange(len(d))
     d[rows, rows + start] = np.inf
-    part = np.argpartition(d, r - 1, axis=1)[:, :r]
-    dist = np.take_along_axis(d, part, axis=1)
-    nearest = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-    kth = dist.max(axis=1, keepdims=True)
-    for i in np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > r):
-        cols = np.flatnonzero(d[i] <= kth[i])
-        nearest[i] = cols[np.lexsort((cols, d[i, cols]))[:r]]
+    nearest = np.empty((len(d), r), dtype=np.intp)
+    for a, b in row_chunks(*d.shape):
+        dc = d[a:b]
+        part = np.argpartition(dc, r - 1, axis=1)[:, :r]
+        dist = np.take_along_axis(dc, part, axis=1)
+        near = nearest[a:b]
+        near[:] = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+        kth = dist.max(axis=1, keepdims=True)
+        for i in np.flatnonzero(np.count_nonzero(dc <= kth, axis=1) > r):
+            cols = np.flatnonzero(dc[i] <= kth[i])
+            near[i] = cols[np.lexsort((cols, dc[i, cols]))[:r]]
     return nearest
 
 
@@ -181,12 +187,23 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
 
     The search runs over near-equal blocks of at most 512 rows: each block's
     distances to all n nodes are computed, its max(sizes)-1 nearest neighbours
-    kept, and the block freed, so memory is O(512 n) and no row is fully
-    sorted. Every size takes a prefix of the one neighbour list.
+    kept, and the block freed. It holds one 512 x n block plus one row chunk
+    of scratch, never an n x n matrix and never a full index array, and sorts
+    no full row. Every size takes a prefix of the one neighbour list.
+
+    Features whose largest squared row norm exceeds a quarter of the largest
+    float are rejected: below that bound every distance and score is finite.
     """
     x = as_features(x_nodes, name="node features")
     n = x.shape[0]
     ks = _checked_sizes(sizes, n)
+    with np.errstate(over="ignore"):
+        top = float(np.einsum("ij,ij->i", x, x).max())
+    if top > np.finfo(float).max / 4:
+        raise DomainError(
+            f"node features are too large for the neighbour search: the largest squared "
+            f"row norm is {top:.3g}, so distances overflow; rescale them (e.g. --normalize)"
+        )
     r = ks[-1] - 1
     neighbours = np.empty((n, r), dtype=np.intp)
     # Near-equal blocks, so none is a single row (n >= 2 here): a one-row

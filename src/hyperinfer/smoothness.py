@@ -72,12 +72,24 @@ def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.nda
     return pair_dists[np.arange(c), picks]
 
 
+def row_chunks(rows: int, n: int):
+    """Consecutive (a, b) bounds that cover rows 0..rows of a rows x n float64 block.
+
+    A chunk holds about 1 MiB, so it and one same-sized scratch fit in a 2 MiB
+    L2 cache: 43 rows at n=3000, one row from n=131072 on.
+    """
+    step = max(1, (1 << 20) // (8 * n))
+    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
 def pairwise_sq_dists(x_nodes, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Rows [start, stop) of the n x n squared-distance matrix (Gram trick, clipped at zero).
 
     The defaults return the full matrix. A row's entry for its own node is 0.
     The block's values equal the full matrix's rows only up to rounding: BLAS
     may sum a block product in another order than the symmetric full product.
+    Besides the block it returns, it holds the n row norms and one
+    ``row_chunks`` chunk of scratch.
     """
     xv = as_features(x_nodes, name="node features")
     n = xv.shape[0]
@@ -85,12 +97,17 @@ def pairwise_sq_dists(x_nodes, start: int = 0, stop: int | None = None) -> np.nd
     if not 0 <= start < stop <= n:
         raise DomainError(f"row range [{start}, {stop}) is outside 0..{n}")
     sq_norms = np.sum(xv * xv, axis=1)
-    # 2.0 * G is exact, so scaling the product in place keeps the value of
-    # (|a|^2 + |b|^2) - 2 a.b while holding one fewer block in memory.
     d = xv[start:stop] @ xv.T
-    d *= 2.0
-    np.subtract(sq_norms[start:stop, None] + sq_norms[None, :], d, out=d)
-    np.clip(d, 0.0, None, out=d)
+    chunks = row_chunks(stop - start, n)
+    scratch = np.empty((chunks[0][1], n))
+    # One pass per chunk while it is in cache. 2.0 * G is exact, so this is
+    # (|a|^2 + |b|^2) - 2 a.b floored at zero, bit for bit.
+    for a, b in chunks:
+        g, norms = d[a:b], scratch[: b - a]
+        g *= 2.0
+        np.add(sq_norms[start + a : start + b, None], sq_norms, out=norms)
+        np.subtract(norms, g, out=g)
+        np.maximum(g, 0.0, out=g)
     rows = np.arange(stop - start)
     d[rows, rows + start] = 0.0
     return d

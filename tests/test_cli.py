@@ -105,6 +105,22 @@ class TestInfer:
         assert err == "error: seed must be a non-negative integer, got -5\n"
         assert not (tmp_path / "pred.json").exists()
 
+    def test_features_too_large_to_search_are_a_domain_failure(self, tmp_path):
+        features = tmp_path / "x.csv"
+        write_features(features, np.random.default_rng(3).normal(size=(40, 3)) + 1e155)
+        proc = _run_module(
+            "infer",
+            "--features", str(features),
+            "--sizes", "3",
+            "--top-m", "2",
+            "--out", str(tmp_path / "pred.json"),
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "neighbour search" in lines[0] and "--normalize" in lines[0]
+        assert not (tmp_path / "pred.json").exists()
+
     def test_missing_features_file_exits_with_input_failure(self, tmp_path):
         code = _run(
             "infer",

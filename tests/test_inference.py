@@ -151,6 +151,20 @@ class TestGenerateCandidates:
         with pytest.raises(DomainError, match="at least one"):
             generate_candidates(TWO_PAIRS, sizes=[])
 
+    def test_features_whose_squared_norms_overflow_rejected(self):
+        # Finite features near 1e155 would make the Gram terms inf - inf = NaN.
+        x = np.random.default_rng(0).normal(size=(40, 3)) + 1e155
+        with pytest.raises(DomainError, match="neighbour search.*--normalize"):
+            generate_candidates(x, [3])
+
+    def test_squared_norm_bound_is_a_quarter_of_the_largest_float(self):
+        # A largest squared norm of 2**1020 is below max / 4; 2**1022 is above it.
+        x = np.array([[1.0], [-1.0], [0.0], [2.0**-510]])
+        cs, _ = infer_hypergraph(2.0**510 * x, [2, 3], TopM(1))
+        assert np.all(np.isfinite(cs.scores)) and np.all(cs.probs > 0.0)
+        with pytest.raises(DomainError, match="too large"):
+            generate_candidates(2.0**511 * x, [2])
+
     @given(feature_matrices(max_rows=8, max_dim=3), st.data())
     def test_pool_bound_and_membership(self, x, data):
         n = x.shape[0]
@@ -254,7 +268,9 @@ class TestBlockedSearch:
             cs = generate_candidates(x, [3, 8])
             assert (len(cs), _pool_digest(cs)) == (size, digest)
 
-    def test_memory_stays_below_half_a_distance_matrix(self):
+    def test_memory_stays_below_one_and_a_half_blocks(self):
+        # One 512 x n distance block plus one row chunk of scratch; no second
+        # block-sized temporary, index array or mask.
         n = 4000
         x = np.random.default_rng(8).normal(size=(n, 16))
         tracemalloc.start()
@@ -263,7 +279,7 @@ class TestBlockedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n / 2
+        assert peak < 1.5 * 8 * 512 * n
 
 
 class TestScoring:

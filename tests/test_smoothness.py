@@ -16,7 +16,7 @@ from hyperinfer import (
     generate_candidates,
     score_candidates,
 )
-from hyperinfer.smoothness import pairwise_sq_dists, variant_edge_smoothness
+from hyperinfer.smoothness import pairwise_sq_dists, row_chunks, variant_edge_smoothness
 from hyperinfer.theory import inference_objective, weighted_smoothness_ev
 
 TWO_POINTS = np.array([[1.0], [-1.0]])
@@ -286,6 +286,20 @@ class TestPairwiseDistances:
         x = np.random.default_rng(18).integers(0, 3, size=(11, 5)).astype(float)
         blocks = [pairwise_sq_dists(x, a, b) for a, b in [(0, 4), (4, 5), (5, 11)]]
         assert np.array_equal(np.vstack(blocks), pairwise_sq_dists(x))
+
+    def test_blocks_equal_the_unchunked_formula_bit_for_bit(self):
+        # Real-valued features, so rounding would show any change in the
+        # order of operations. The ranges end mid-chunk and span several chunks.
+        n = 1500
+        x = np.random.default_rng(19).normal(size=(n, 7)) * 3.7
+        sq = np.sum(x * x, axis=1)
+        height = row_chunks(n, n)[0][1]
+        assert 1 < height < n
+        for a, b in [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n)]:
+            want = np.clip((sq[a:b, None] + sq[None, :]) - 2.0 * (x[a:b] @ x.T), 0.0, None)
+            want[np.arange(b - a), np.arange(a, b)] = 0.0
+            got = pairwise_sq_dists(x, a, b)
+            assert got.tobytes() == want.tobytes(), (a, b)
 
     @pytest.mark.parametrize("start, stop", [(-1, 3), (3, 3), (4, 2), (0, 12)])
     def test_row_range_outside_the_matrix_rejected(self, start, stop):
