@@ -105,18 +105,28 @@ def build_hypergraph(
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
 
 
+def flat_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge's nodes in one array, and the offset where each edge starts.
+
+    Edge i is ``nodes[offsets[i]:offsets[i + 1]]``, ascending; the two arrays
+    are the ``indices`` and ``indptr`` of ``incidence(h)``. Built in O(nnz).
+    """
+    sizes = [len(e) for e in h.edges]
+    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sum(sizes))
+    return nodes, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+
 def incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
     """The sparse n x m incidence H, the one place edge lists become a matrix.
 
     Column i holds edge i's nodes in ascending order, each valued at the
-    edge's weight (1 if unweighted): ``indices`` is the flat node list and
-    ``np.diff(indptr)`` the edge sizes. Built in O(nnz).
+    edge's weight (1 if unweighted), over the arrays of ``flat_edges(h)``.
     """
-    sizes = [len(e) for e in h.edges]
-    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sum(sizes))
-    starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    nodes, offsets = flat_edges(h)
     weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)
-    return scipy.sparse.csc_matrix((np.repeat(weights, sizes), nodes, starts), shape=(h.n, h.m))
+    return scipy.sparse.csc_matrix(
+        (np.repeat(weights, np.diff(offsets)), nodes, offsets), shape=(h.n, h.m)
+    )
 
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
@@ -145,7 +155,12 @@ def normalize_features(x) -> np.ndarray:
     has nothing to scale and passes through unchanged.
     """
     arr = as_features(x)
-    spread = float(arr.std())
+    with np.errstate(over="ignore"):
+        spread = float(arr.std())
+        if not np.isfinite(spread):
+            # The squared deviations overflowed: take the spread at unit scale.
+            peak = float(np.abs(arr).max())
+            spread = float((arr / peak).std()) * peak
     if spread == 0.0:
         return arr.copy()
     return arr / spread

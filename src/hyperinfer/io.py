@@ -84,13 +84,14 @@ def write_candidates(path, cs: CandidateSet) -> None:
         raise DomainError("candidate scores and probabilities must be attached first")
     order = _selection_order(cs)
     columns = (cs.anchors[order].tolist(), cs.scores[order].tolist(), cs.probs[order].tolist())
+    # The rows csv.writer would write: no field needs quoting, floats are repr'd.
+    rows = [",".join(CANDIDATE_FIELDS)]
+    rows.extend(
+        f"{';'.join(map(str, nodes))},{len(nodes)},{anchor},{s!r},{p!r}"
+        for nodes, anchor, s, p in zip(cs.edges(order), *columns)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANDIDATE_FIELDS)
-        writer.writerows(
-            (";".join(map(str, nodes)), len(nodes), anchor, s_prime, prob)
-            for nodes, anchor, s_prime, prob in zip(cs.edges(order), *columns)
-        )
+        fh.write("\r\n".join(rows) + "\r\n")
 
 
 def load_candidates(path, n: int) -> CandidateSet:

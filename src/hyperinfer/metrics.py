@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .core import DomainError, Hypergraph, incidence
+from .core import DomainError, Hypergraph, flat_edges
 from .inference import CandidateSet
 
 
@@ -59,19 +60,53 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     The squared difference of the aligned binary incidence matrices is then
     scaled by the truth matrix's squared norm, so 0 means identical edge sets
     and values above 1 are possible for badly inflated predictions.
+
+    The alignment is a sparse maximum-weight matching on the pairs that share
+    a node, so memory grows with those pairs, not with m_pred x m_truth. A
+    pair (e, f) weighs |e & f| + 1 and predicted edge i also has its own dummy
+    column of weight 1, so every predicted edge may stay unmatched, a full
+    matching always exists, and the matched intersection is the total weight
+    less m_pred. The weights are integers, so the value does not depend on
+    which optimal matching the solver returns.
     """
-    from scipy.optimize import linear_sum_assignment  # deferred: a quarter second of import
+    # deferred: csgraph imports scipy.linalg, which the CLI's start-up leaves out
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     _check_same_n(pred, truth)
     if pred.m == 0 or truth.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    # Both sides rebuilt without weights: the error compares binary incidences.
-    p = incidence(Hypergraph(pred.n, pred.edges))
-    t = incidence(Hypergraph(truth.n, truth.edges))
-    inter = (p.T @ t).toarray()
-    rows, cols = linear_sum_assignment(inter, maximize=True)
-    matched = float(inter[rows, cols].sum())
-    pred_mass, truth_mass = p.nnz, t.nnz
+    # Node lists only: the error compares binary incidences, whatever the weights.
+    p_nodes, p_offsets = flat_edges(pred)
+    t_nodes, t_offsets = flat_edges(truth)
+    m_pred, width = pred.m, truth.m + pred.m
+    # Truth entries sorted by node, so each predicted entry meets the run of
+    # truth edges at its node.
+    order = np.argsort(t_nodes)
+    by_node = t_nodes[order]
+    t_edges = np.repeat(np.arange(truth.m), np.diff(t_offsets))[order]
+    starts = np.searchsorted(by_node, p_nodes)
+    counts = np.searchsorted(by_node, p_nodes, side="right") - starts
+    ends = np.cumsum(counts)
+    shared = t_edges[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
+    p_edges = np.repeat(np.arange(m_pred), np.diff(p_offsets))
+    # One key pred * width + truth per shared node, plus each predicted edge's
+    # dummy key; the sorted distinct keys are the CSR entries, row by row.
+    keys, weights = np.unique(
+        np.concatenate(
+            (np.repeat(p_edges, counts) * width + shared, np.arange(m_pred) * (width + 1) + truth.m)
+        ),
+        return_counts=True,
+    )
+    cols = keys % width
+    weights[cols < truth.m] += 1
+    indptr = np.searchsorted(keys, np.arange(m_pred + 1) * width)
+    # Negated weights: their minimum-weight matching is the maximum one.
+    g = scipy.sparse.csr_array(
+        (np.negative(weights, dtype=float), cols, indptr), shape=(m_pred, width)
+    )
+    rows, partners = min_weight_full_bipartite_matching(g)
+    matched = int(weights[np.searchsorted(keys, rows * width + partners)].sum()) - m_pred
+    pred_mass, truth_mass = len(p_nodes), len(t_nodes)
     return float((pred_mass + truth_mass - 2.0 * matched) / truth_mass)
 
 

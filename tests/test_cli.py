@@ -39,6 +39,22 @@ def _run_module(*argv, **kwargs):
     return _run_python("-m", "hyperinfer", *argv, **kwargs)
 
 
+def _run_module_limited(monkeypatch, *argv):
+    """``python -m hyperinfer`` in a child process limited to 1.5 GB of address space."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("RLIMIT_AS is enforced on Linux only")
+    import resource
+
+    limit = 1_500_000 * 1024
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("the address-space limit cannot be raised to the test's value")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return _run_module(
+        *argv, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    )
+
+
 class TestInfer:
     def test_reports_selection_against_the_pool_bound(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -275,6 +291,26 @@ class TestSynth:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_running_out_of_memory_exits_with_one_error_line(self, tmp_path, monkeypatch):
+        # 110 x 2e9 standard normals need 1.6 TiB, more than the child's
+        # address-space limit, so the draw fails before any of it is touched.
+        out = tmp_path / "ds"
+        proc = _run_module_limited(
+            monkeypatch,
+            "synth",
+            "--nodes", "100",
+            "--edges", "2=10",
+            "--overlap", "0.3",
+            "--dim", "2000000000",
+            "--out", str(out),
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: synth: out of memory")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["inf", "1e300", "1e-200"])
     def test_sigma_whose_square_is_not_positive_and_finite_is_a_domain_failure(
         self, tmp_path, capsys, sigma
@@ -375,32 +411,31 @@ class TestEval:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_running_out_of_memory_exits_with_one_error_line(self, tmp_path, monkeypatch):
-        # 20,000 disjoint pairs on each side: hgmse's dense 20,000 x 20,000
-        # intersection needs 3.2 GB, more than the child's address-space limit,
-        # so the allocation fails before any of it is touched.
-        if not sys.platform.startswith("linux"):
-            pytest.skip("RLIMIT_AS is enforced on Linux only")
-        import resource
-
-        limit = 1_500_000 * 1024
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        if hard != resource.RLIM_INFINITY and hard < limit:
-            pytest.skip("the address-space limit cannot be raised to the test's value")
+    def test_disjoint_pairs_score_within_an_address_space_limit(self, tmp_path, monkeypatch):
+        # 20,000 disjoint pairs on each side: a dense 20,000 x 20,000
+        # intersection would need 3.2 GB, more than the child's address-space
+        # limit; the sparse matching holds only the 20,000 shared pairs.
         edges = [[2 * i, 2 * i + 1] for i in range(20_000)]
         pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
         for path in (pred, truth):
             path.write_text(json.dumps({"n": 80_000, "edges": edges}))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        proc = _run_module(
-            "eval", "--pred", str(pred), "--truth", str(truth),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        proc = _run_module_limited(monkeypatch, "eval", "--pred", str(pred), "--truth", str(truth))
+        assert proc.returncode == 0, proc.stderr
+        assert "hgmse 0.0000" in proc.stdout
+
+    def test_scoring_leaves_out_scipy_optimize(self, tmp_path):
+        truth = tmp_path / "truth.json"
+        write_hypergraph(truth, build_hypergraph(5, [[0, 1, 2], [2, 3, 4]]))
+        proc = _run_python(
+            "-c",
+            "import sys; from hyperinfer.cli import main; "
+            "code = main(['eval', '--pred', sys.argv[1], '--truth', sys.argv[1]]); "
+            "print(code, 'scipy.optimize' in sys.modules)",
+            str(truth),
         )
-        assert proc.returncode == 3, proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: eval: out of memory")
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert "hgmse 0.0000" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_node_count_mismatch_exits_with_input_failure(self, tmp_path):
         pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"

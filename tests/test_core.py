@@ -2,6 +2,7 @@
 
 import importlib
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ class TestNormalizeFeatures:
         out = normalize_features(x)
         assert np.array_equal(out, x)
         assert out is not x
+
+    def test_features_whose_squares_overflow_still_reach_unit_variance(self):
+        base = np.random.default_rng(0).normal(size=(40, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize_features(base * 1e155)
+        assert np.allclose(out, base / base.std(), rtol=1e-12, atol=0.0)
+        assert np.isclose(out.std(), 1.0)
 
     @given(feature_matrices())
     def test_distance_ratios_are_preserved(self, x):

@@ -124,6 +124,40 @@ class TestHgmse:
                 _assignment_oracle(pred, truth), abs=1e-12
             )
 
+    def test_equals_the_dense_assignment_bit_for_bit(self):
+        # Cycles identical sides, disjoint sides and independent sides (whose
+        # edge counts mostly differ), up to 25 edges each.
+        from scipy.optimize import linear_sum_assignment
+
+        def edges_over(rng, nodes, m):
+            edges = set()
+            for _ in range(m):
+                k = int(rng.integers(2, min(len(nodes), 6) + 1))
+                edges.add(tuple(sorted(rng.choice(nodes, size=k, replace=False).tolist())))
+            return list(edges)
+
+        rng = np.random.default_rng(29)
+        unequal = 0
+        for case in range(300):
+            n = int(rng.integers(6, 40))
+            half = n // 2
+            truth_edges = edges_over(rng, np.arange(n), int(rng.integers(1, 26)))
+            if case % 3 == 0:
+                pred_edges = [truth_edges[i] for i in rng.permutation(len(truth_edges))]
+            elif case % 3 == 1:
+                truth_edges = edges_over(rng, np.arange(half), int(rng.integers(1, 26)))
+                pred_edges = edges_over(rng, np.arange(half, n), int(rng.integers(1, 26)))
+            else:
+                pred_edges = edges_over(rng, np.arange(n), int(rng.integers(1, 26)))
+            pred, truth = build_hypergraph(n, pred_edges), build_hypergraph(n, truth_edges)
+            unequal += pred.m != truth.m
+            hp, ht = incidence_matrix(pred), incidence_matrix(truth)
+            inter = hp.T @ ht
+            rows, cols = linear_sum_assignment(inter, maximize=True)
+            dense = (hp.sum() + ht.sum() - 2.0 * inter[rows, cols].sum()) / ht.sum()
+            assert hgmse(pred, truth) == dense
+        assert unequal >= 100
+
     @given(hypergraphs())
     def test_self_distance_is_exactly_zero(self, h):
         assert hgmse(h, h) == 0.0
