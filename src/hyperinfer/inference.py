@@ -185,11 +185,12 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     sets keep the first (size, anchor) pair that produced them, and the result
     is ordered by size, then anchor.
 
-    The search runs over near-equal blocks of at most 512 rows: each block's
+    The features are validated and their squared row norms taken once. The
+    search then runs over near-equal blocks of at most 512 rows: each block's
     distances to all n nodes are computed, its max(sizes)-1 nearest neighbours
     kept, and the block freed. It holds one 512 x n block plus one row chunk
-    of scratch, never an n x n matrix and never a full index array, and sorts
-    no full row. Every size takes a prefix of the one neighbour list.
+    of scratch, never an n x n matrix or a full index array, and sorts no full
+    row. Every size takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -198,11 +199,11 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     n = x.shape[0]
     ks = _checked_sizes(sizes, n)
     with np.errstate(over="ignore"):
-        top = float(np.einsum("ij,ij->i", x, x).max())
-    if top > np.finfo(float).max / 4:
+        sq_norms = np.sum(x * x, axis=1)
+    if sq_norms.max() > np.finfo(float).max / 4:
         raise DomainError(
-            f"node features are too large for the neighbour search: the largest squared "
-            f"row norm is {top:.3g}, so distances overflow; rescale them (e.g. --normalize)"
+            f"node features are too large for the neighbour search: the largest squared row "
+            f"norm is {sq_norms.max():.3g}, so distances overflow; rescale them (e.g. --normalize)"
         )
     r = ks[-1] - 1
     neighbours = np.empty((n, r), dtype=np.intp)
@@ -211,7 +212,7 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     # product's. With n <= _BLOCK_ROWS the one block is the full product.
     for rows in np.array_split(np.arange(n), -(-n // _BLOCK_ROWS)):
         start, stop = int(rows[0]), int(rows[-1]) + 1
-        neighbours[start:stop] = _nearest(pairwise_sq_dists(x, start, stop), start, r)
+        neighbours[start:stop] = _nearest(pairwise_sq_dists(x, sq_norms, start, stop), start, r)
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.
     with_anchor = np.column_stack((np.arange(n), neighbours))

@@ -55,7 +55,10 @@ def read_hypergraph(path) -> Hypergraph:
     strings, floats and booleans in their place are errors, not coerced. ``n``
     must also fit ``np.intp``, the index type every array over the nodes uses.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise DomainError(f"{path}: JSON is nested too deeply to read") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError(f"{path} is not a hypergraph file; keys 'n' and 'edges' required")
     n, edges, weights = payload["n"], payload["edges"], payload.get("weights")
@@ -97,38 +100,44 @@ def write_candidates(path, cs: CandidateSet) -> None:
 def load_candidates(path, n: int) -> CandidateSet:
     """Read a candidates CSV back into a fully scored pool over n nodes.
 
-    Every row must have exactly one field per header column and distinct,
-    non-negative node ids, in any order; blank lines are skipped.
+    Every row must have exactly one field per header column and distinct node
+    ids in any order; its ids and anchor lie in 0..n-1. Blank lines are skipped.
     """
     node_lists, anchors, scores, probs = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CANDIDATE_FIELDS):
-            raise DomainError(f"{path} has header {header}, expected {list(CANDIDATE_FIELDS)}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(CANDIDATE_FIELDS):
-                raise DomainError(f"{where}: {len(row)} fields, expected {len(CANDIDATE_FIELDS)}")
-            node_list, size, anchor, s_prime, prob = row
-            try:
-                nodes = sorted(int(tok) for tok in node_list.split(";"))
-                size, anchor = int(size), int(anchor)
-                s_prime, prob = float(s_prime), float(prob)
-            except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from exc
-            if size != len(nodes):
-                raise DomainError(f"{where}: row for {node_list} declares size {size}")
-            if len(set(nodes)) != len(nodes):
-                raise DomainError(f"{where}: node ids repeat in {node_list}")
-            if nodes[0] < 0:
-                raise DomainError(f"{where}: node id {nodes[0]} is negative")
-            node_lists.append(nodes)
-            anchors.append(anchor)
-            scores.append(s_prime)
-            probs.append(prob)
+        try:
+            header = next(reader, None)
+            if header != list(CANDIDATE_FIELDS):
+                raise DomainError(f"{path} has header {header}, expected {list(CANDIDATE_FIELDS)}")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise DomainError(f"{where}: {len(row)} fields, expected {len(header)}")
+                node_list, size, anchor, s_prime, prob = row
+                try:
+                    nodes = sorted(int(tok) for tok in node_list.split(";"))
+                    size, anchor = int(size), int(anchor)
+                    s_prime, prob = float(s_prime), float(prob)
+                except ValueError as exc:
+                    raise DomainError(f"{where}: {exc}") from exc
+                if size != len(nodes):
+                    raise DomainError(f"{where}: row for {node_list} declares size {size}")
+                if len(set(nodes)) != len(nodes):
+                    raise DomainError(f"{where}: node ids repeat in {node_list}")
+                if nodes[0] < 0:
+                    raise DomainError(f"{where}: node id {nodes[0]} is negative")
+                for what, value in (("node id", nodes[-1]), ("anchor", anchor)):
+                    if not 0 <= value < n:
+                        raise DomainError(f"{where}: {what} {value} is out of range for n={n}")
+                node_lists.append(nodes)
+                anchors.append(anchor)
+                scores.append(s_prime)
+                probs.append(prob)
+        except csv.Error as exc:
+            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from exc
     width = max(map(len, node_lists), default=0)
     padded = [row + [-1] * (width - len(row)) for row in node_lists]
     nodes = np.array(padded, dtype=np.intp).reshape(len(padded), width)
@@ -157,10 +166,6 @@ def write_metrics(
             block["gap"] = separation.gap
         payload["separation"] = block
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_metrics(path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def write_manifest(path, cfg: SynthConfig, achieved_overlap: float, version: str) -> None:

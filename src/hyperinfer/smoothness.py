@@ -4,6 +4,10 @@ A candidate's spread s' is the largest squared pairwise L2 distance among its
 member nodes; it needs node features only. Ablation variants score the same
 pairs by their mean, their minimum, or one randomly drawn pair. Scores are
 computed for a whole block of equal-size edges at once.
+
+The kernels ``variant_edge_smoothness`` and ``pairwise_sq_dists`` trust their
+callers: the entry points in ``inference`` validate the features and the rows
+once per call and pass them on as they are.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_features, check_seed
+# as_features is unused here, but perfbench/spans.py wraps this module's binding of it.
+from .core import DomainError, as_features, check_seed  # noqa: F401
 
 VARIANT_KINDS = ("max", "mean", "min", "random")
 
@@ -40,26 +45,18 @@ class SmoothnessVariant:
             check_seed(self.seed)
 
 
-def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.ndarray:
+def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     """Score each row of a (c, k) block of sorted node indices by the variant.
 
     Pair distances are squared L2, taken over the k(k-1)/2 node pairs of a row
     in ``np.triu_indices`` order; the variant reduces them to one score per row.
+    Callers pass validated input: a finite float matrix ``x`` and, in each row
+    of ``rows``, k >= 2 strictly increasing row indices of ``x``.
     """
-    xv = as_features(x_nodes, name="node features")
-    idx = np.asarray(rows)
-    if idx.ndim != 2 or not np.issubdtype(idx.dtype, np.integer):
-        raise DomainError(f"edge rows must be a 2-D integer array, got {idx.dtype} {idx.shape}")
-    c, k = idx.shape
-    if k < 2:
-        raise DomainError(f"edges of size {k} are too small to score (need >= 2 nodes)")
-    if c and (idx.min() < 0 or idx.max() >= xv.shape[0]):
-        raise DomainError(f"edge rows index outside the feature matrix ({xv.shape[0]} rows)")
-    if np.any(idx[:, 1:] <= idx[:, :-1]):
-        raise DomainError("edge rows must hold strictly increasing node indices")
+    c, k = rows.shape
     pair_dists = np.empty((c, k * (k - 1) // 2))
     for col, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
-        d = xv[idx[:, i]] - xv[idx[:, j]]
+        d = x[rows[:, i]] - x[rows[:, j]]
         pair_dists[:, col] = np.sum(d * d, axis=-1)
     if variant.kind == "max":
         return np.max(pair_dists, axis=1)
@@ -67,7 +64,7 @@ def variant_edge_smoothness(rows, x_nodes, variant: SmoothnessVariant) -> np.nda
         return np.mean(pair_dists, axis=1)
     if variant.kind == "min":
         return np.min(pair_dists, axis=1)
-    rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in idx.tolist())
+    rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
     picks = np.array([rng.integers(pair_dists.shape[1]) for rng in rngs], dtype=np.intp)
     return pair_dists[np.arange(c), picks]
 
@@ -82,22 +79,17 @@ def row_chunks(rows: int, n: int):
     return [(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def pairwise_sq_dists(x_nodes, start: int = 0, stop: int | None = None) -> np.ndarray:
+def pairwise_sq_dists(x, sq_norms, start: int, stop: int) -> np.ndarray:
     """Rows [start, stop) of the n x n squared-distance matrix (Gram trick, clipped at zero).
 
-    The defaults return the full matrix. A row's entry for its own node is 0.
-    The block's values equal the full matrix's rows only up to rounding: BLAS
-    may sum a block product in another order than the symmetric full product.
-    Besides the block it returns, it holds the n row norms and one
-    ``row_chunks`` chunk of scratch.
+    Callers pass validated input: a finite n x d float matrix ``x``, its
+    ``sq_norms = np.sum(x * x, axis=1)`` and 0 <= start < stop <= n. A row's
+    entry for its own node is 0. The block equals the full matrix's rows only
+    up to rounding: BLAS may sum a block product in another order than the
+    symmetric full product. It holds one ``row_chunks`` chunk of scratch.
     """
-    xv = as_features(x_nodes, name="node features")
-    n = xv.shape[0]
-    stop = n if stop is None else stop
-    if not 0 <= start < stop <= n:
-        raise DomainError(f"row range [{start}, {stop}) is outside 0..{n}")
-    sq_norms = np.sum(xv * xv, axis=1)
-    d = xv[start:stop] @ xv.T
+    n = x.shape[0]
+    d = x[start:stop] @ x.T
     chunks = row_chunks(stop - start, n)
     scratch = np.empty((chunks[0][1], n))
     # One pass per chunk while it is in cache. 2.0 * G is exact, so this is

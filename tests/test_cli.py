@@ -14,7 +14,7 @@ import pytest
 import hyperinfer
 from hyperinfer import build_hypergraph
 from hyperinfer.cli import main
-from hyperinfer.io import read_hypergraph, read_metrics, write_features, write_hypergraph
+from hyperinfer.io import read_hypergraph, write_features, write_hypergraph
 
 
 def _run(*argv):
@@ -349,7 +349,7 @@ class TestEval:
         line = capsys.readouterr().out
         assert "f1 1.0000" in line
         assert "hgmse 0.0000" in line
-        payload = read_metrics(metrics)
+        payload = json.loads(metrics.read_text())
         assert payload["f1"] == 1.0
         assert payload["hgmse"] == 0.0
 
@@ -377,7 +377,7 @@ class TestEval:
         )
         assert code == 0
         assert "separation-gap" in capsys.readouterr().out
-        assert "separation" in read_metrics(metrics)
+        assert "separation" in json.loads(metrics.read_text())
 
     def test_header_only_pool_file_gives_an_empty_separation_block(self, tmp_path, capsys):
         truth, pool = tmp_path / "truth.json", tmp_path / "pool.csv"
@@ -389,7 +389,7 @@ class TestEval:
             "--candidates", str(pool), "--out", str(metrics),
         )
         assert code == 0
-        assert read_metrics(metrics) == {
+        assert json.loads(metrics.read_text()) == {
             "precision": 1.0, "recall": 1.0, "f1": 1.0, "hgmse": 0.0, "separation": {}
         }
 
@@ -465,11 +465,28 @@ class TestEval:
             ("--candidates", "negative_node.csv", "nodes,size,anchor,s_prime,prob\n-1;3;5;7,4,3,1.0,0.5\n"),
             ("--pred", "repeated_node.json", '{"n": 3, "edges": [[0, 0, 1]]}'),
             ("--candidates", "bad_size.csv", "nodes,size,anchor,s_prime,prob\n0;1,x,0,1.0,0.5\n"),
+            ("--pred", "deep.json", '{"n": 3, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+            (
+                "--candidates",
+                "long_field.csv",
+                "nodes,size,anchor,s_prime,prob\n0;1,2,0," + "1" * 140_000 + ",0.5\n",
+            ),
+            (
+                "--candidates",
+                "huge_node.csv",
+                "nodes,size,anchor,s_prime,prob\n0;99999999999999999999,2,0,1.0,0.5\n",
+            ),
+            (
+                "--candidates",
+                "huge_anchor.csv",
+                "nodes,size,anchor,s_prime,prob\n0;1,2,99999999999999999999,1.0,0.5\n",
+            ),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
             "huge-n", "negative-node", "repeated-node-json", "non-integer-size",
+            "deep-json", "long-field", "huge-node", "huge-anchor",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):

@@ -28,6 +28,7 @@ from hyperinfer import (
     score_candidates,
     select_edges,
 )
+from hyperinfer import inference, smoothness
 from hyperinfer.inference import _selection_order
 from hyperinfer.smoothness import pairwise_sq_dists
 from hyperinfer.theory import inference_objective
@@ -110,6 +111,23 @@ class TestCandidateSetValidation:
         assert not cs.nodes.flags.writeable and not cs.anchors.flags.writeable
         with pytest.raises(DomainError, match="out of range"):
             replace(cs, n=3)
+        assert len(calls) == 2
+
+    def test_features_are_validated_once_per_stage(self, monkeypatch):
+        # n = 1100 spans three row blocks of the search; the kernels that the
+        # blocks and the two sizes call take the checked matrix as it is.
+        calls = []
+        check = inference.as_features
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "as_features", counting)
+        monkeypatch.setattr(smoothness, "as_features", counting)
+        x = np.random.default_rng(23).normal(size=(1100, 4))
+        cs, _ = infer_hypergraph(x, [3, 8], TopM(5))
+        assert cs.sizes == (3, 8)
         assert len(calls) == 2
 
 
@@ -204,7 +222,7 @@ class TestGenerateCandidates:
 def _oracle_pool(x, sizes):
     """The full-matrix search: every row of the n x n matrix stably argsorted."""
     n = x.shape[0]
-    dists = pairwise_sq_dists(x)
+    dists = pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, n)
     np.fill_diagonal(dists, np.inf)
     order = np.argsort(dists, axis=1, kind="stable")
     seen, out = set(), []

@@ -21,7 +21,6 @@ from hyperinfer.io import (
     load_candidates,
     read_features,
     read_hypergraph,
-    read_metrics,
     write_candidates,
     write_features,
     write_hypergraph,
@@ -179,8 +178,16 @@ class TestCandidateFiles:
             ("0;1,x,0,1.0,0.5", "invalid literal for int() with base 10: 'x'"),
             ("0;1,2,0,1.0,abc", "could not convert string to float: 'abc'"),
             ("0;;2,3,0,1.0,0.5", "invalid literal for int() with base 10: ''"),
+            ("0;5,2,0,1.0,0.5", "node id 5 is out of range for n=5"),
+            ("0;99999999999999999999,2,0,1.0,0.5", "node id 99999999999999999999 is out of range"),
+            ("0;1,2,99999999999999999999,1.0,0.5", "anchor 99999999999999999999 is out of range"),
+            ("0;1,2,-3,1.0,0.5", "anchor -3 is out of range for n=5"),
+            ("0;1,2,0," + "1" * 140_000 + ",0.5", "field larger than field limit (131072)"),
         ],
-        ids=["non-integer-size", "non-numeric-prob", "empty-node-id"],
+        ids=[
+            "non-integer-size", "non-numeric-prob", "empty-node-id",
+            "node-id-n", "huge-node-id", "huge-anchor", "negative-anchor", "long-field",
+        ],
     )
     def test_unparseable_field_rejected_with_the_line(self, tmp_path, row, message):
         path = tmp_path / "cands.csv"
@@ -195,7 +202,7 @@ class TestMetricsFiles:
         pred = build_hypergraph(6, [[0, 1, 2], [2, 3, 4]])
         path = tmp_path / "metrics.json"
         write_metrics(path, f1_exact(pred, truth), hgmse(pred, truth))
-        payload = read_metrics(path)
+        payload = json.loads(path.read_text())
         assert payload == {
             "precision": 0.5,
             "recall": 0.5,
@@ -211,7 +218,7 @@ class TestMetricsFiles:
         sep = probability_separation(cs, truth)
         path = tmp_path / "metrics.json"
         write_metrics(path, f1_exact(pred, truth), hgmse(pred, truth), sep)
-        block = read_metrics(path)["separation"]
+        block = json.loads(path.read_text())["separation"]
         assert set(block) <= {"truth_mean", "other_mean", "gap"}
         assert block["truth_mean"] == sep.mean_truth_prob
 
