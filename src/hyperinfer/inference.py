@@ -30,11 +30,6 @@ from .smoothness import SmoothnessVariant, pairwise_sq_dists, row_chunks, varian
 # Unused here, but perfbench/spans.py wraps this attribute of this module, so it stays bound.
 from .core import build_hypergraph  # noqa: F401
 
-# Rows per block of the neighbour search: one float64 array of _BLOCK_ROWS x n
-# distances, plus one row chunk of scratch at a time.
-_BLOCK_ROWS = 512
-
-
 Candidate = namedtuple("Candidate", ["nodes", "anchor"])
 
 
@@ -153,27 +148,22 @@ def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
 def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
     """The r nearest other nodes of rows [start, start + len(d)), by (distance, index).
 
-    ``d`` holds those rows' distances to all nodes and is overwritten.
+    ``d`` holds one row chunk's distances to all nodes and is overwritten.
     ``np.argpartition`` keeps r entries per row without sorting the row. A row
     with more than r entries at or below its r-th distance has a tie at the
     boundary, so every such entry is sorted and the r first are kept: this is
     the order a stable argsort of the full row gives. Each row is handled
-    alone, over the ``row_chunks`` of ``d``, so the partition indices and the
-    tie mask exist for one chunk at a time, never for the whole block.
+    alone, so the result does not depend on how the rows are chunked.
     """
     rows = np.arange(len(d))
     d[rows, rows + start] = np.inf
-    nearest = np.empty((len(d), r), dtype=np.intp)
-    for a, b in row_chunks(*d.shape):
-        dc = d[a:b]
-        part = np.argpartition(dc, r - 1, axis=1)[:, :r]
-        dist = np.take_along_axis(dc, part, axis=1)
-        near = nearest[a:b]
-        near[:] = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-        kth = dist.max(axis=1, keepdims=True)
-        for i in np.flatnonzero(np.count_nonzero(dc <= kth, axis=1) > r):
-            cols = np.flatnonzero(dc[i] <= kth[i])
-            near[i] = cols[np.lexsort((cols, dc[i, cols]))[:r]]
+    part = np.argpartition(d, r - 1, axis=1)[:, :r]
+    dist = np.take_along_axis(d, part, axis=1)
+    nearest = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+    kth = dist.max(axis=1, keepdims=True)
+    for i in np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > r):
+        cols = np.flatnonzero(d[i] <= kth[i])
+        nearest[i] = cols[np.lexsort((cols, d[i, cols]))[:r]]
     return nearest
 
 
@@ -186,11 +176,12 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     is ordered by size, then anchor.
 
     The features are validated and their squared row norms taken once. The
-    search then runs over near-equal blocks of at most 512 rows: each block's
-    distances to all n nodes are computed, its max(sizes)-1 nearest neighbours
-    kept, and the block freed. It holds one 512 x n block plus one row chunk
-    of scratch, never an n x n matrix or a full index array, and sorts no full
-    row. Every size takes a prefix of the one neighbour list.
+    search then runs over the near-equal ``row_chunks`` of about 2 MiB of
+    distances each: a chunk's distances to all n nodes are computed into two
+    buffers allocated once per search, and its max(sizes)-1 nearest
+    neighbours kept before the next chunk is computed. It never holds an
+    n x n matrix or a full index array, and sorts no full row. Every size
+    takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -207,12 +198,13 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
         )
     r = ks[-1] - 1
     neighbours = np.empty((n, r), dtype=np.intp)
-    # Near-equal blocks, so none is a single row (n >= 2 here): a one-row
-    # product takes numpy's gemv path, whose rounding differs from the matrix
-    # product's. With n <= _BLOCK_ROWS the one block is the full product.
-    for rows in np.array_split(np.arange(n), -(-n // _BLOCK_ROWS)):
-        start, stop = int(rows[0]), int(rows[-1]) + 1
-        neighbours[start:stop] = _nearest(pairwise_sq_dists(x, sq_norms, start, stop), start, r)
+    chunks = row_chunks(n)
+    dist, scratch = np.empty((2, chunks[0][1], n))
+    # With n <= 512 the one chunk is the full product.
+    for start, stop in chunks:
+        d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start], scratch[: stop - start])
+        neighbours[start:stop] = _nearest(d, start, r)
+    del dist, scratch, d  # the chunk buffers are freed before the pool is built
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.
     with_anchor = np.column_stack((np.arange(n), neighbours))

@@ -69,37 +69,39 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     return pair_dists[np.arange(c), picks]
 
 
-def row_chunks(rows: int, n: int):
-    """Consecutive (a, b) bounds that cover rows 0..rows of a rows x n float64 block.
+def row_chunks(n: int) -> list[tuple[int, int]]:
+    """Near-equal (a, b) bounds that cover rows 0..n of the n x n distance matrix.
 
-    A chunk holds about 1 MiB, so it and one same-sized scratch fit in a 2 MiB
-    L2 cache: 43 rows at n=3000, one row from n=131072 on.
+    The target height is the rows that hold 2 MiB of float64 distances, but at
+    least 32: a chunk is computed and ranked while it is in cache, and its
+    product stays a matrix product (one row would be a gemv, whose rounding
+    differs). The rows go into the fewest chunks of at most that height, the
+    first n % count one row taller, as in ``np.array_split``. So every
+    n <= 512 is one chunk, n=3000 takes 35 chunks of 85-86 rows, and no chunk
+    has fewer than min(n, 31) rows.
     """
-    step = max(1, (1 << 20) // (8 * n))
-    return [(a, min(a + step, rows)) for a in range(0, rows, step)]
+    count = -(-n // max(32, (2 << 20) // (8 * n)))
+    q, extra = divmod(n, count)
+    return [(i * q + min(i, extra), (i + 1) * q + min(i + 1, extra)) for i in range(count)]
 
 
-def pairwise_sq_dists(x, sq_norms, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the n x n squared-distance matrix (Gram trick, clipped at zero).
+def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray, scratch: np.ndarray):
+    """Rows [start, start + len(out)) of the n x n squared-distance matrix, in ``out``.
 
-    Callers pass validated input: a finite n x d float matrix ``x``, its
-    ``sq_norms = np.sum(x * x, axis=1)`` and 0 <= start < stop <= n. A row's
-    entry for its own node is 0. The block equals the full matrix's rows only
-    up to rounding: BLAS may sum a block product in another order than the
-    symmetric full product. It holds one ``row_chunks`` chunk of scratch.
+    The Gram trick, clipped at zero: (|a|^2 + |b|^2) - 2 a.b, where 2.0 * a.b
+    is exact. Callers pass validated input: a finite n x d float matrix ``x``,
+    its ``sq_norms = np.sum(x * x, axis=1)``, and two C-contiguous float64
+    arrays ``out`` and ``scratch`` of the same shape (rows, n) with
+    start + rows <= n; ``scratch`` is overwritten. A row's entry for its own
+    node is 0. The rows equal the full matrix's only up to rounding: BLAS may
+    sum a part of the product in another order than the symmetric full product.
     """
-    n = x.shape[0]
-    d = x[start:stop] @ x.T
-    chunks = row_chunks(stop - start, n)
-    scratch = np.empty((chunks[0][1], n))
-    # One pass per chunk while it is in cache. 2.0 * G is exact, so this is
-    # (|a|^2 + |b|^2) - 2 a.b floored at zero, bit for bit.
-    for a, b in chunks:
-        g, norms = d[a:b], scratch[: b - a]
-        g *= 2.0
-        np.add(sq_norms[start + a : start + b, None], sq_norms, out=norms)
-        np.subtract(norms, g, out=g)
-        np.maximum(g, 0.0, out=g)
-    rows = np.arange(stop - start)
-    d[rows, rows + start] = 0.0
-    return d
+    stop = start + len(out)
+    np.matmul(x[start:stop], x.T, out=out)
+    out *= 2.0
+    np.add(sq_norms[start:stop, None], sq_norms, out=scratch)
+    np.subtract(scratch, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    rows = np.arange(len(out))
+    out[rows, rows + start] = 0.0
+    return out

@@ -30,7 +30,7 @@ from hyperinfer import (
 )
 from hyperinfer import inference, smoothness
 from hyperinfer.inference import _selection_order
-from hyperinfer.smoothness import pairwise_sq_dists
+from hyperinfer.smoothness import pairwise_sq_dists, row_chunks
 from hyperinfer.theory import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -222,7 +222,7 @@ class TestGenerateCandidates:
 def _oracle_pool(x, sizes):
     """The full-matrix search: every row of the n x n matrix stably argsorted."""
     n = x.shape[0]
-    dists = pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, n)
+    dists = pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, *np.empty((2, n, n)))
     np.fill_diagonal(dists, np.inf)
     order = np.argsort(dists, axis=1, kind="stable")
     seen, out = set(), []
@@ -252,11 +252,14 @@ def _pool_digest(cs):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# n around the 512-row block height; sizes {2}, {3, 8} and k = n.
+# n at the edges of smoothness.row_chunks (pinned below): 2 and 511 are one
+# chunk, 512 the largest one-chunk n, 513 two chunks whose last is the
+# shortest, 1025 five equal chunks, 778 three chunks whose last is the
+# shortest. Sizes {2}, {3, 8} and k = n.
 SEARCH_CASES = list(
     dict.fromkeys(
         (n, sizes)
-        for n in (2, 511, 512, 513, 1025)
+        for n in (2, 511, 512, 513, 1025, 778)
         for sizes in ((2,), (3, 8), (n,))
         if max(sizes) <= n
     )
@@ -264,6 +267,16 @@ SEARCH_CASES = list(
 
 
 class TestBlockedSearch:
+    def test_search_cases_sit_on_the_chunk_edges(self):
+        heights = {n: [b - a for a, b in row_chunks(n)] for n in (511, 512, 513, 1025, 778)}
+        assert heights == {
+            511: [511],
+            512: [512],
+            513: [257, 256],
+            1025: [205] * 5,
+            778: [260, 259, 259],
+        }
+
     @pytest.mark.parametrize("n, sizes", SEARCH_CASES)
     def test_matches_the_full_argsort_oracle(self, n, sizes):
         x = _tie_heavy(n)
@@ -271,33 +284,42 @@ class TestBlockedSearch:
         assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, sizes)
 
     def test_mixed_size_pools_match_the_recorded_output(self):
-        # Digests of (anchor, nodes) for every candidate; both inputs span
-        # several row blocks. The tie-heavy pool was recorded with the
-        # full-matrix search, the planted one with the row-blocked search, so a
-        # change to the planter re-records it from an unchanged search.
-        ds = make_dataset(
-            SynthConfig(n=1100, edge_spec={3: 60, 8: 60}, target_overlap=0.3, dim=64, seed=0)
-        )
+        # Digests of (anchor, nodes) for every candidate; every input spans
+        # several row chunks. The tie-heavy pool was recorded with the
+        # full-matrix search, the others with 512-row blocks: real-valued
+        # features, where a GEMM of another height may round a few distances
+        # differently. A change to the planter or the sampler re-records them
+        # from an unchanged search.
+        def planted(n, spec, dim):
+            cfg = SynthConfig(n=n, edge_spec=spec, target_overlap=0.3, dim=dim, seed=0)
+            return make_dataset(cfg).x_nodes
+
         cases = [
             (_tie_heavy(1025), 844, "7853c9558edba924"),
-            (ds.x_nodes, 1692, "2d8e4bc607633231"),
+            (planted(1100, {3: 60, 8: 60}, 64), 1692, "2d8e4bc607633231"),
+            (planted(3000, {3: 300, 8: 300}, 128), 3478, "48a94955ff112b04"),
+            (planted(1100, {3: 60, 8: 60}, 1000), 1673, "18f5bda34218e913"),
+            (np.random.default_rng(0).normal(size=(1100, 1000)), 2199, "5c6f50c298d6d698"),
         ]
         for x, size, digest in cases:
             cs = generate_candidates(x, [3, 8])
             assert (len(cs), _pool_digest(cs)) == (size, digest)
 
-    def test_memory_stays_below_one_and_a_half_blocks(self):
-        # One 512 x n distance block plus one row chunk of scratch; no second
-        # block-sized temporary, index array or mask.
-        n = 4000
-        x = np.random.default_rng(8).normal(size=(n, 16))
+    @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4)])
+    def test_memory_stays_within_a_few_chunks(self, n, d):
+        # Two chunk buffers, one chunk's partition indices and tie mask, plus
+        # O(n (d + max size)) for the squared norms and the pool. Nothing grows
+        # with a fixed block of rows: a 512-row block peaked at 18 MB at n=4000.
+        x = np.random.default_rng(8).normal(size=(n, d))
+        sizes = [3, 8]
+        chunk = 8 * n * row_chunks(n)[0][1]
         tracemalloc.start()
         try:
-            generate_candidates(x, [3, 8])
+            generate_candidates(x, sizes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * 512 * n
+        assert peak < 3.5 * chunk + 8 * n * (d + 2 * max(sizes))
 
 
 class TestScoring:

@@ -28,9 +28,15 @@ def _score(edge, x, variant=MAX):
     return float(variant_edge_smoothness(np.array([edge]), x, variant)[0])
 
 
+def _sq_dists(x, start, stop):
+    """Rows [start, stop) from the row-chunk kernel, in fresh buffers."""
+    sq = np.sum(x * x, axis=1)
+    return pairwise_sq_dists(x, sq, start, *np.empty((2, stop - start, len(x))))
+
+
 def _full_sq_dists(x):
-    """The whole n x n matrix from the row-block kernel."""
-    return pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, len(x))
+    """The whole n x n matrix from the row-chunk kernel."""
+    return _sq_dists(x, 0, len(x))
 
 
 def _ev(edge, x, xe):
@@ -285,23 +291,40 @@ class TestPairwiseDistances:
     def test_row_blocks_stack_to_the_full_matrix(self):
         # Integer features: every entry is exact, whatever the summation order.
         x = np.random.default_rng(18).integers(0, 3, size=(11, 5)).astype(float)
-        sq = np.sum(x * x, axis=1)
-        blocks = [pairwise_sq_dists(x, sq, a, b) for a, b in [(0, 4), (4, 5), (5, 11)]]
+        blocks = [_sq_dists(x, a, b) for a, b in [(0, 4), (4, 5), (5, 11)]]
         assert np.array_equal(np.vstack(blocks), _full_sq_dists(x))
 
     def test_blocks_equal_the_unchunked_formula_bit_for_bit(self):
         # Real-valued features, so rounding would show any change in the
-        # order of operations. The ranges end mid-chunk and span several chunks.
+        # order of operations. The ranges end mid-chunk, span several chunks
+        # or are one chunk each. Each is written into the leading rows of two
+        # reused buffers, as the search does, and the buffers start dirty.
         n = 1500
         x = np.random.default_rng(19).normal(size=(n, 7)) * 3.7
         sq = np.sum(x * x, axis=1)
-        height = row_chunks(n, n)[0][1]
+        height = row_chunks(n)[0][1]
         assert 1 < height < n
-        for a, b in [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n)]:
+        dist, scratch = np.full((2, n, n), np.nan)
+        ranges = [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n), *row_chunks(n)]
+        for a, b in ranges:
             want = np.clip((sq[a:b, None] + sq[None, :]) - 2.0 * (x[a:b] @ x.T), 0.0, None)
             want[np.arange(b - a), np.arange(a, b)] = 0.0
-            got = pairwise_sq_dists(x, sq, a, b)
-            assert got.tobytes() == want.tobytes(), (a, b)
+            got = pairwise_sq_dists(x, sq, a, dist[: b - a], scratch[: b - a])
+            assert np.shares_memory(got, dist) and got.tobytes() == want.tobytes(), (a, b)
+
+    @given(st.integers(2, 10**7))
+    def test_row_chunks_cover_the_rows_in_near_equal_gemm_sized_chunks(self, n):
+        # Arithmetic only: the bounds for n up to 10^7 allocate no array.
+        chunks = row_chunks(n)
+        heights = [b - a for a, b in chunks]
+        target = max(32, (2 << 20) // (8 * n))
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+        assert len(chunks) == -(-n // target) and max(heights) <= target
+        assert max(heights) - min(heights) <= 1 and heights == sorted(heights, reverse=True)
+        # Never a one-row gemv: at least 31 rows, or all n when n < 31.
+        assert min(heights) >= min(n, 31)
+        assert (len(chunks) == 1) == (n <= 512)
 
 
 class TestBlockScoring:
