@@ -105,27 +105,18 @@ def build_hypergraph(
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
 
 
-def flat_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge's nodes in one array, and the offset where each edge starts.
-
-    Edge i is ``nodes[offsets[i]:offsets[i + 1]]``, ascending; the two arrays
-    are the ``indices`` and ``indptr`` of ``incidence(h)``. Built in O(nnz).
-    """
-    sizes = [len(e) for e in h.edges]
-    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sum(sizes))
-    return nodes, np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-
-
 def incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
     """The sparse n x m incidence H, the one place edge lists become a matrix.
 
     Column i holds edge i's nodes in ascending order, each valued at the
-    edge's weight (1 if unweighted), over the arrays of ``flat_edges(h)``.
+    edge's weight (1 if unweighted). Built in O(nnz).
     """
-    nodes, offsets = flat_edges(h)
+    sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=h.m)
+    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sizes.sum())
     weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)
     return scipy.sparse.csc_matrix(
-        (np.repeat(weights, np.diff(offsets)), nodes, offsets), shape=(h.n, h.m)
+        (np.repeat(weights, sizes), nodes, np.concatenate(([0], np.cumsum(sizes)))),
+        shape=(h.n, h.m),
     )
 
 

@@ -175,13 +175,13 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     sets keep the first (size, anchor) pair that produced them, and the result
     is ordered by size, then anchor.
 
-    The features are validated and their squared row norms taken once. The
-    search then runs over the near-equal ``row_chunks`` of about 2 MiB of
-    distances each: a chunk's distances to all n nodes are computed into two
-    buffers allocated once per search, and its max(sizes)-1 nearest
-    neighbours kept before the next chunk is computed. It never holds an
-    n x n matrix or a full index array, and sorts no full row. Every size
-    takes a prefix of the one neighbour list.
+    The features are validated once. The search runs over the near-equal
+    ``row_chunks`` of about 2 MiB of distances each, which also bound the
+    temporaries of the squared row norms. A chunk's distances to all n nodes
+    are computed into two buffers allocated once per search, and its
+    max(sizes)-1 nearest neighbours kept before the next chunk is computed. It
+    never holds an n x n matrix, an n x d temporary or a full index array, and
+    sorts no full row. Every size takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -189,8 +189,9 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     x = as_features(x_nodes, name="node features")
     n = x.shape[0]
     ks = _checked_sizes(sizes, n)
+    chunks = row_chunks(n)
     with np.errstate(over="ignore"):
-        sq_norms = np.sum(x * x, axis=1)
+        sq_norms = np.concatenate([np.sum(x[a:b] * x[a:b], axis=1) for a, b in chunks])
     if sq_norms.max() > np.finfo(float).max / 4:
         raise DomainError(
             f"node features are too large for the neighbour search: the largest squared row "
@@ -198,7 +199,6 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
         )
     r = ks[-1] - 1
     neighbours = np.empty((n, r), dtype=np.intp)
-    chunks = row_chunks(n)
     dist, scratch = np.empty((2, chunks[0][1], n))
     # With n <= 512 the one chunk is the full product.
     for start, stop in chunks:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
-from .core import DomainError, Hypergraph, flat_edges
+from .core import DomainError, Hypergraph, incidence
 from .inference import CandidateSet
 
 
@@ -58,56 +58,42 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     Predicted and truth edges are matched to maximise total node-set
     intersection; unmatched columns on either side pair with all-zero columns.
     The squared difference of the aligned binary incidence matrices is then
-    scaled by the truth matrix's squared norm, so 0 means identical edge sets
-    and values above 1 are possible for badly inflated predictions.
+    scaled by the truth matrix's squared norm, so 0 means identical edge sets,
+    an empty prediction scores 1, and values above 1 are possible for badly
+    inflated predictions.
 
-    The alignment is a sparse maximum-weight matching on the pairs that share
-    a node, so memory grows with those pairs, not with m_pred x m_truth. A
-    pair (e, f) weighs |e & f| + 1 and predicted edge i also has its own dummy
-    column of weight 1, so every predicted edge may stay unmatched, a full
-    matching always exists, and the matched intersection is the total weight
-    less m_pred. The weights are integers, so the value does not depend on
-    which optimal matching the solver returns.
+    The intersections |e & f| are the sparse product Hp^T Ht, formed only
+    for pairs that share a node, so memory grows with those pairs, not with
+    m_pred x m_truth. A pair weighs |e & f| + 1 and each predicted edge also
+    has its own dummy column of weight 1: every predicted edge may stay
+    unmatched, a full matching always exists, and the matched intersection is
+    the total weight less m_pred. The weights are integers, so the value does
+    not depend on which optimal matching the solver returns.
     """
     # deferred: csgraph imports scipy.linalg, which the CLI's start-up leaves out
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     _check_same_n(pred, truth)
-    if pred.m == 0 or truth.m == 0:
-        raise DomainError("hypergraph has no hyperedges")
-    # Node lists only: the error compares binary incidences, whatever the weights.
-    p_nodes, p_offsets = flat_edges(pred)
-    t_nodes, t_offsets = flat_edges(truth)
-    m_pred, width = pred.m, truth.m + pred.m
-    # Truth entries sorted by node, so each predicted entry meets the run of
-    # truth edges at its node.
-    order = np.argsort(t_nodes)
-    by_node = t_nodes[order]
-    t_edges = np.repeat(np.arange(truth.m), np.diff(t_offsets))[order]
-    starts = np.searchsorted(by_node, p_nodes)
-    counts = np.searchsorted(by_node, p_nodes, side="right") - starts
-    ends = np.cumsum(counts)
-    shared = t_edges[np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])]
-    p_edges = np.repeat(np.arange(m_pred), np.diff(p_offsets))
-    # One key pred * width + truth per shared node, plus each predicted edge's
-    # dummy key; the sorted distinct keys are the CSR entries, row by row.
-    keys, weights = np.unique(
-        np.concatenate(
-            (np.repeat(p_edges, counts) * width + shared, np.arange(m_pred) * (width + 1) + truth.m)
-        ),
-        return_counts=True,
-    )
-    cols = keys % width
-    weights[cols < truth.m] += 1
-    indptr = np.searchsorted(keys, np.arange(m_pred + 1) * width)
-    # Negated weights: their minimum-weight matching is the maximum one.
+    if truth.m == 0:
+        raise DomainError("truth hypergraph has no hyperedges")
+    # Binary incidences: the error compares node sets, whatever the weights.
+    hp = incidence(replace(pred, weights=None))
+    ht = incidence(replace(truth, weights=None))
+    inter = hp.T @ ht
+    # Each row's dummy column goes after its shared pairs; weights are negated
+    # so that the minimum-weight matching is the maximum one.
+    m_pred, ends = pred.m, inter.indptr[1:]
     g = scipy.sparse.csr_array(
-        (np.negative(weights, dtype=float), cols, indptr), shape=(m_pred, width)
+        (
+            np.insert(-1.0 - inter.data, ends, -1.0),
+            np.insert(inter.indices, ends, truth.m + np.arange(m_pred)),
+            inter.indptr + np.arange(m_pred + 1),
+        ),
+        shape=(m_pred, truth.m + m_pred),
     )
     rows, partners = min_weight_full_bipartite_matching(g)
-    matched = int(weights[np.searchsorted(keys, rows * width + partners)].sum()) - m_pred
-    pred_mass, truth_mass = len(p_nodes), len(t_nodes)
-    return float((pred_mass + truth_mass - 2.0 * matched) / truth_mass)
+    matched = -g[rows, partners].sum() - m_pred
+    return float((hp.nnz + ht.nnz - 2.0 * matched) / ht.nnz)
 
 
 def probability_separation(cs: CandidateSet, truth: Hypergraph) -> SeparationReport:

@@ -353,6 +353,22 @@ class TestEval:
         assert payload["f1"] == 1.0
         assert payload["hgmse"] == 0.0
 
+    def test_empty_prediction_scores_every_truth_incidence_missed(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        features = tmp_path / "x.csv"
+        write_features(features, rng.normal(size=(12, 2)))
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
+        write_hypergraph(truth, build_hypergraph(12, [[0, 1, 2], [3, 4, 5]]))
+        code = _run(
+            "infer", "--features", str(features), "--sizes", "3", "--top-m", "0",
+            "--out", str(pred),
+        )
+        assert code == 0
+        assert read_hypergraph(pred).m == 0
+        capsys.readouterr()
+        assert _run("eval", "--pred", str(pred), "--truth", str(truth)) == 0
+        assert "f1 0.0000  hgmse 1.0000" in capsys.readouterr().out
+
     def test_separation_block_comes_from_the_pool_file(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         features = tmp_path / "x.csv"
@@ -528,6 +544,28 @@ class TestSweep:
         assert "+/-" in printed
         for row in summaries:
             assert f"min-gap {float(row['gap']):.3f}" in printed
+
+    @pytest.mark.parametrize(
+        "grid, sha256",
+        [
+            (
+                ["--axis", "overlap", "--values", "0.1,0.3,0.5", "--reps", "3",
+                 "--edges", "3=6,8=6"],
+                "72ce2d394f6fa1db7b78a4ab96e66581563cd2dd8111c722a2636b6c1088f841",
+            ),
+            (
+                ["--axis", "variant", "--values", "max,mean,min,random", "--reps", "2"],
+                "0864710e69634ca2e2985beebb375167cf1a25681c782082013f412ebcb8987d",
+            ),
+        ],
+        ids=["overlap-mixed", "variant"],
+    )
+    def test_grid_csv_is_pinned(self, tmp_path, grid, sha256):
+        # Digests recorded at one and at two BLAS threads. Every grid point has
+        # a non-zero HGMSE, so a change in the alignment changes them too.
+        out = tmp_path / "sweep.csv"
+        assert _run("sweep", *grid, "--normalize", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_bad_sigma_gives_error_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

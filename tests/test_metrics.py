@@ -96,8 +96,9 @@ class TestHgmse:
     def test_empty_inputs_rejected(self):
         full = build_hypergraph(3, [[0, 1]])
         empty = build_hypergraph(3, [])
-        with pytest.raises(DomainError, match="no hyperedges"):
-            hgmse(empty, full)
+        # An empty prediction misses every truth incidence; an empty truth
+        # leaves nothing to scale by.
+        assert hgmse(empty, full) == 1.0
         with pytest.raises(DomainError, match="no hyperedges"):
             hgmse(full, empty)
 
@@ -126,7 +127,7 @@ class TestHgmse:
 
     def test_equals_the_dense_assignment_bit_for_bit(self):
         # Cycles identical sides, disjoint sides and independent sides (whose
-        # edge counts mostly differ), up to 25 edges each.
+        # edge counts mostly differ), up to 25 edges each, unweighted and weighted.
         from scipy.optimize import linear_sum_assignment
 
         def edges_over(rng, nodes, m):
@@ -136,7 +137,7 @@ class TestHgmse:
                 edges.add(tuple(sorted(rng.choice(nodes, size=k, replace=False).tolist())))
             return list(edges)
 
-        rng = np.random.default_rng(29)
+        rng, weight_rng = np.random.default_rng(29), np.random.default_rng(31)
         unequal = 0
         for case in range(300):
             n = int(rng.integers(6, 40))
@@ -156,6 +157,15 @@ class TestHgmse:
             rows, cols = linear_sum_assignment(inter, maximize=True)
             dense = (hp.sum() + ht.sum() - 2.0 * inter[rows, cols].sum()) / ht.sum()
             assert hgmse(pred, truth) == dense
+            # Weighted sides are scored on their binary incidences, exactly.
+            weighted_pred = build_hypergraph(
+                n, pred_edges, weights=weight_rng.uniform(0.05, 1, pred.m)
+            )
+            assert hgmse(weighted_pred, truth) == dense
+            weighted_truth = build_hypergraph(
+                n, truth_edges, weights=weight_rng.uniform(0.05, 1, truth.m)
+            )
+            assert hgmse(weighted_pred, weighted_truth) == dense
         assert unequal >= 100
 
     @given(hypergraphs())
