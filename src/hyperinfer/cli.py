@@ -1,8 +1,8 @@
 """Command line front end: infer, synth, eval, sweep.
 
-Exit codes are a stable contract for scripting: 0 on success, 2 for unreadable
-or malformed input files, 3 for domain and feasibility failures and for inputs
-too large for the memory available. All error messages go to standard error.
+Exit codes are a stable contract for scripting: 0 on success, 2 for unreadable,
+unwritable or malformed files, 3 for domain and feasibility failures and for
+inputs too large for the memory available. Error messages go to standard error.
 """
 
 from __future__ import annotations
@@ -32,28 +32,16 @@ from .synth import SynthConfig, make_dataset
 
 
 class _InputError(Exception):
-    """Unreadable, unwritable, or malformed file; maps to exit code 2."""
-
-
-def _fail(path, exc) -> "_InputError":
-    detail = str(exc)
-    if str(path) in detail:
-        return _InputError(detail)
-    return _InputError(f"{path}: {detail}")
+    """Malformed input file or mismatched inputs; maps to exit code 2."""
 
 
 def _read(fn, path, *args):
+    # A DomainError is a ValueError, so a file that breaks a domain rule exits 2, not 3.
     try:
         return fn(path, *args)
     except (OSError, ValueError, TypeError) as exc:
-        raise _fail(path, exc) from exc
-
-
-def _write(fn, path, *args):
-    try:
-        return fn(path, *args)
-    except OSError as exc:
-        raise _fail(path, exc) from exc
+        detail = str(exc)
+        raise _InputError(detail if str(path) in detail else f"{path}: {detail}") from exc
 
 
 def _int(tok: str, what: str) -> int:
@@ -101,9 +89,9 @@ def cmd_infer(args) -> int:
     )
     spec = TopM(args.top_m) if args.top_m is not None else PerSize(args.per_size)
     cs, pred = infer_hypergraph(x, args.sizes, spec, variant=variant)
-    _write(write_hypergraph, args.out, pred)
+    write_hypergraph(args.out, pred)
     if args.candidates:
-        _write(write_candidates, args.candidates, cs)
+        write_candidates(args.candidates, cs)
     print(f"selected {pred.m} of ≤{len(cs.sizes) * cs.n} candidates")
     return 0
 
@@ -119,14 +107,11 @@ def cmd_synth(args) -> int:
     )
     ds = make_dataset(cfg)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _InputError(f"{out}: {exc}") from exc
-    _write(write_features, out / "node_features.csv", ds.x_nodes)
-    _write(write_features, out / "edge_features.csv", ds.x_edges)
-    _write(write_hypergraph, out / "truth.json", ds.truth)
-    _write(write_manifest, out / "manifest.json", ds.config, ds.achieved_overlap, __version__)
+    out.mkdir(parents=True, exist_ok=True)
+    write_features(out / "node_features.csv", ds.x_nodes)
+    write_features(out / "edge_features.csv", ds.x_edges)
+    write_hypergraph(out / "truth.json", ds.truth)
+    write_manifest(out / "manifest.json", ds.config, ds.achieved_overlap, __version__)
     print(f"wrote dataset to {out} (achieved overlap {ds.achieved_overlap:.4f})")
     return 0
 
@@ -145,7 +130,7 @@ def cmd_eval(args) -> int:
         cs = _read(load_candidates, args.candidates, truth.n)
         separation = probability_separation(cs, truth)
     if args.out:
-        _write(write_metrics, args.out, match, err, separation)
+        write_metrics(args.out, match, err, separation)
     line = (
         f"precision {match.precision:.4f}  recall {match.recall:.4f}  "
         f"f1 {match.f1:.4f}  hgmse {err:.4f}"
@@ -174,14 +159,11 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         normalize=args.normalize,
     )
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    except OSError as exc:
-        raise _InputError(f"{args.out}: {exc}") from exc
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
     for row in rows:
         if row["seed"] == "summary":
             line = (
@@ -265,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -57,10 +57,14 @@ class PerSize:
 
 SelectionSpec = Union[TopM, PerSize]
 
+# The types an integer input may have; bool, float and str are not among them.
+WHOLE = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+_NUMBER = WHOLE | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+
 
 def check_seed(seed) -> None:
     """Reject a seed numpy's generators would refuse: it must be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if type(seed) not in WHOLE or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -69,18 +73,24 @@ def build_hypergraph(
     edges: Iterable[Iterable[int]],
     weights: Sequence[float] | None = None,
 ) -> Hypergraph:
-    """Validate and canonicalise a hypergraph.
+    """Validate and canonicalise a hypergraph: the one check every hypergraph passes.
 
-    Edge node lists are turned into sorted tuples; duplicate node sets,
-    out-of-range indices, edges smaller than 2 nodes, a node repeated within
-    an edge, and weights outside (0, 1] are rejected.
+    ``n`` and the node ids must have a ``WHOLE`` type and ``n`` must fit
+    ``np.intp``, the index type of every array over the nodes; weights must be
+    integers or floats. Nothing else is coerced: node id 1.7 is an error, not
+    node 1. Edges come out as sorted tuples of Python ints, weights as Python
+    floats. Duplicate node sets, out-of-range indices, edges smaller than 2
+    nodes, a node repeated within an edge and weights outside (0, 1] are errors.
     """
-    if n < 1:
-        raise DomainError(f"node count must be positive, got {n}")
+    if type(n) not in WHOLE or not 1 <= n <= np.iinfo(np.intp).max:
+        raise DomainError(f"node count must be a positive integer that fits np.intp, got {n!r}")
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for raw in edges:
-        nodes = [int(v) for v in raw]
+        raw = tuple(raw)
+        if not WHOLE.issuperset(map(type, raw)):
+            raise DomainError(f"hyperedge {raw} has a node id that is not an integer")
+        nodes = [*map(int, raw)]
         edge = tuple(sorted(set(nodes)))
         if len(edge) < 2:
             raise DomainError(f"hyperedge {edge} is too small (need >= 2 distinct nodes)")
@@ -94,14 +104,13 @@ def build_hypergraph(
         canon.append(edge)
     wts: tuple[float, ...] | None = None
     if weights is not None:
-        wts = tuple(float(w) for w in weights)
+        wts = tuple(weights)
         if len(wts) != len(canon):
-            raise DomainError(
-                f"got {len(wts)} weights for {len(canon)} edges"
-            )
+            raise DomainError(f"got {len(wts)} weights for {len(canon)} edges")
         for w in wts:
-            if not (0.0 < w <= 1.0) or not np.isfinite(w):
-                raise DomainError(f"edge weight {w} outside (0, 1]")
+            if type(w) not in _NUMBER or not 0.0 < w <= 1.0:  # also false for NaN and inf
+                raise DomainError(f"edge weight {w!r} is not a number in (0, 1]")
+        wts = tuple(map(float, wts))
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
 
 

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, PerSize, normalize_features
+from .core import WHOLE, DomainError, Hypergraph, PerSize, normalize_features
 from .inference import CandidateSet, infer_hypergraph
 from .metrics import MatchReport, SeparationReport, f1_exact, hgmse, probability_separation
 from .smoothness import SmoothnessVariant
@@ -109,15 +109,15 @@ def run_sweep(
         raise DomainError(
             f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}"
         )
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    if type(reps) not in WHOLE or reps < 1:
+        raise DomainError(f"reps must be an integer >= 1, got {reps!r}")
     if not values:
         raise DomainError("sweep needs at least one grid value")
     edge_spec = dict(edge_spec) if edge_spec is not None else {8: 12}
     rows: list[dict] = []
     for value in values:
-        point_n = int(value) if axis == "nodes" else n
-        point_spec = {int(value): sum(edge_spec.values())} if axis == "edge-size" else edge_spec
+        point_n = value if axis == "nodes" else n
+        point_spec = {value: sum(edge_spec.values())} if axis == "edge-size" else edge_spec
         point_overlap = float(value) if axis == "overlap" else overlap
         f1s: list[float] = []
         errs: list[float] = []

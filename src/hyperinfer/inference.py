@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    WHOLE,
     DomainError,
     Hypergraph,
     InfeasibleError,
@@ -73,9 +74,12 @@ class CandidateSet:
             object.__setattr__(self, "probs", w)
 
     def _check_rows(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"node count must be >= 1, got {self.n}")
-        nodes, anchors = np.array(self.nodes, np.intp), np.array(self.anchors, np.intp)
+        if type(self.n) not in WHOLE or self.n < 1:
+            raise DomainError(f"node count n must be an integer >= 1, got {self.n!r}")
+        nodes, anchors = np.asarray(self.nodes), np.asarray(self.anchors)
+        if any(a.size and a.dtype.type not in WHOLE for a in (nodes, anchors)):
+            raise DomainError(f"nodes, anchors must be integers: {nodes.dtype}, {anchors.dtype}")
+        nodes, anchors = nodes.astype(np.intp), anchors.astype(np.intp)
         if nodes.ndim != 2 or anchors.shape != nodes.shape[:1]:
             raise DomainError(f"shapes {nodes.shape}, {anchors.shape} are not (c, w), (c,)")
         inside = nodes >= 0
@@ -134,15 +138,15 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 
 
 def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
-    ks = sorted({int(k) for k in sizes})
+    ks = list(sizes)
     if not ks:
         raise DomainError("at least one hyperedge size is required")
     for k in ks:
-        if k < 2:
-            raise DomainError(f"hyperedge size {k} is too small; sizes start at 2")
+        if type(k) not in WHOLE or k < 2:
+            raise DomainError(f"hyperedge size {k!r} is not an integer >= 2; sizes start at 2")
         if k > n:
             raise DomainError(f"hyperedge size {k} exceeds the node count {n}")
-    return tuple(ks)
+    return tuple(sorted(set(map(int, ks))))
 
 
 def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
@@ -277,13 +281,15 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
     if isinstance(spec, TopM):
         quotas = {None: spec.m}  # None: any size
     elif isinstance(spec, PerSize):
-        quotas = {int(k): int(spec.counts[k]) for k in sorted(spec.counts)}
+        quotas = dict(spec.counts)
     else:
         raise DomainError(f"unknown selection spec: {spec!r}")
+    if not WHOLE.issuperset(map(type, [*quotas.keys() - {None}, *quotas.values()])):
+        raise DomainError(f"selection sizes and counts must be integers, got {spec!r}")
     order = _selection_order(cs)
     ranked_sizes = cs.row_sizes[order]
     picks = [order[:0]]
-    for k, want in quotas.items():
+    for k, want in sorted(quotas.items()):
         have = order if k is None else order[ranked_sizes == k]
         what = "candidates" if k is None else f"candidates of size {k}"
         if want < 0:

@@ -43,17 +43,13 @@ def write_hypergraph(path, h: Hypergraph) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _is_int(value) -> bool:
-    # JSON booleans arrive as bool, a subclass of int; they are not node ids.
-    return type(value) is int
-
-
 def read_hypergraph(path) -> Hypergraph:
-    """Read a hypergraph JSON, rejecting values JSON types would let through.
+    """Parse a hypergraph JSON; ``build_hypergraph`` checks what it holds.
 
-    ``n`` and every node id must be JSON integers and every weight a number;
-    strings, floats and booleans in their place are errors, not coerced. ``n``
-    must also fit ``np.intp``, the index type every array over the nodes uses.
+    Here only the layout is checked: an object with keys 'n' and 'edges',
+    'edges' a list of lists and 'weights', if present, a list. The node count,
+    the node ids and the weights are passed on as JSON gave them, so a float,
+    string or boolean in their place is rejected there, not coerced.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -61,20 +57,12 @@ def read_hypergraph(path) -> Hypergraph:
         raise DomainError(f"{path}: JSON is nested too deeply to read") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise DomainError(f"{path} is not a hypergraph file; keys 'n' and 'edges' required")
-    n, edges, weights = payload["n"], payload["edges"], payload.get("weights")
-    if not _is_int(n):
-        raise DomainError(f"{path}: 'n' must be an integer, got {n!r}")
-    if n > np.iinfo(np.intp).max:
-        raise DomainError(f"{path}: 'n' is {n}, more nodes than an index array can address")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and all(_is_int(v) for v in e) for e in edges
-    ):
-        raise DomainError(f"{path}: 'edges' must be a list of lists of integer node ids")
-    if weights is not None and not (
-        isinstance(weights, list) and all(type(w) in (int, float) for w in weights)
-    ):
+    edges, weights = payload["edges"], payload.get("weights")
+    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        raise DomainError(f"{path}: 'edges' must be a list of lists of node ids")
+    if weights is not None and not isinstance(weights, list):
         raise DomainError(f"{path}: 'weights' must be a list of numbers")
-    return build_hypergraph(n, edges, weights=weights)
+    return build_hypergraph(payload["n"], edges, weights=weights)
 
 
 def write_candidates(path, cs: CandidateSet) -> None:
@@ -171,13 +159,13 @@ def write_metrics(
 def write_manifest(path, cfg: SynthConfig, achieved_overlap: float, version: str) -> None:
     """Record every parameter needed to regenerate a dataset, plus the outcome."""
     payload = {
-        "n": cfg.n,
+        "n": int(cfg.n),
         "edge_spec": {str(k): int(c) for k, c in sorted(cfg.edge_spec.items())},
         "target_overlap": cfg.target_overlap,
         "achieved_overlap": achieved_overlap,
         "sigma": cfg.sigma,
-        "dim": cfg.dim,
-        "seed": cfg.seed,
+        "dim": int(cfg.dim),
+        "seed": int(cfg.seed),
         "version": version,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

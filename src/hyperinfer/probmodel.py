@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .core import DomainError, Hypergraph, check_seed, incidence, incidence_matrix
+from .core import WHOLE, DomainError, Hypergraph, check_seed, incidence, incidence_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +75,8 @@ class GaussianModelConfig:
             raise DomainError(
                 f"sigma must be positive with a positive finite square, got {self.sigma}"
             )
-        if self.dim < 1:
-            raise DomainError(f"feature dimension must be >= 1, got {self.dim}")
+        if type(self.dim) not in WHOLE or self.dim < 1:
+            raise DomainError(f"feature dimension dim must be an integer >= 1, got {self.dim!r}")
         check_seed(self.seed)
 
 

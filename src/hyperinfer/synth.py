@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence
+from .core import WHOLE, DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence
 from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
@@ -43,17 +43,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"node count must be >= 1, got {self.n}")
-        spec = {int(k): int(c) for k, c in dict(self.edge_spec).items()}
+        if type(self.n) not in WHOLE or self.n < 1:
+            raise DomainError(f"node count n must be an integer >= 1, got {self.n!r}")
+        spec = dict(self.edge_spec)
         if not spec:
             raise DomainError("edge_spec must request at least one hyperedge")
         for k, c in spec.items():
-            if k < 2:
-                raise DomainError(f"hyperedge size {k} is too small; sizes start at 2")
-            if c < 1:
-                raise DomainError(f"edge count for size {k} must be >= 1, got {c}")
-        object.__setattr__(self, "edge_spec", spec)
+            if type(k) not in WHOLE or k < 2:
+                raise DomainError(f"hyperedge size {k!r} is not an integer >= 2; sizes start at 2")
+            if type(c) not in WHOLE or c < 1:
+                raise DomainError(f"edge count for size {k} must be an integer >= 1, got {c!r}")
+        object.__setattr__(self, "edge_spec", {int(k): int(c) for k, c in spec.items()})
         if not 0.0 <= self.target_overlap < 1.0:
             raise DomainError(
                 f"target overlap must lie in [0, 1), got {self.target_overlap}"

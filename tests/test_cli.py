@@ -617,6 +617,37 @@ class TestSweep:
         assert "bad value" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    # A regular file stands where a directory is expected: the output under it,
+    # or synth's output directory itself, cannot be created.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("infer", "--out"), ("infer", "--candidates"), ("synth", "--out"),
+         ("sweep", "--out"), ("eval", "--out")],
+        ids=["infer-out", "infer-candidates", "synth-out", "sweep-out", "eval-out"],
+    )
+    def test_exits_with_input_failure_naming_the_path(self, tmp_path, capsys, command, flag):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        bad = blocker if command == "synth" else blocker / "output"
+        features, truth = tmp_path / "x.csv", tmp_path / "truth.json"
+        write_features(features, np.array([[0.0], [1.0], [10.0], [11.0]]))
+        write_hypergraph(truth, build_hypergraph(4, [[0, 1]]))
+        small = ["--nodes", "20", "--edges", "3=2", "--dim", "4"]
+        argv = {
+            "infer": ["--features", str(features), "--sizes", "2", "--top-m", "1",
+                      "--out", str(tmp_path / "pred.json")],
+            "synth": [*small, "--overlap", "0", "--out", str(tmp_path / "ds")],
+            "sweep": [*small, "--axis", "overlap", "--values", "0", "--reps", "1",
+                      "--out", str(tmp_path / "sweep.csv")],
+            "eval": ["--pred", str(truth), "--truth", str(truth)],
+        }[command]
+        assert _run(command, *argv, flag, str(bad)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert str(bad) in lines[0]
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv, reason",

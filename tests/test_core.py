@@ -3,6 +3,7 @@
 import importlib
 import types
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,14 +13,23 @@ from hypothesis import given
 from conftest import feature_matrices, hypergraphs
 import hyperinfer
 from hyperinfer import (
+    CandidateSet,
     DomainError,
+    GaussianModelConfig,
     PerSize,
+    SmoothnessVariant,
+    SynthConfig,
     TopM,
     build_hypergraph,
+    generate_candidates,
     incidence_matrix,
+    infer_hypergraph,
     normalize_features,
+    run_sweep,
+    select_edges,
 )
 from hyperinfer.core import as_features, incidence
+from hyperinfer.io import read_hypergraph, write_hypergraph
 
 
 class TestBuildHypergraph:
@@ -72,6 +82,32 @@ class TestBuildHypergraph:
         with pytest.raises(DomainError, match="weight"):
             build_hypergraph(3, [[0, 1]], weights=[bad])
 
+    @pytest.mark.parametrize(
+        "n, edges, weights, match",
+        [
+            (3, [[0, 1.7]], None, r"hyperedge \(0, 1.7\) has a node id that is not an integer"),
+            (3, [[True, 2]], None, r"hyperedge \(True, 2\) has a node id that is not an integer"),
+            (3.9, [[0, 1]], None, "node count must be a positive integer"),
+            (2**63, [[0, 1]], None, "node count must be a positive integer that fits np.intp"),
+            (3, [[0, 1]], ["0.5"], "edge weight '0.5' is not a number"),
+            (3, [[0, 1]], [True], "edge weight True is not a number"),
+        ],
+        ids=["float-id", "bool-id", "float-n", "n-beyond-intp", "string-weight", "bool-weight"],
+    )
+    def test_only_whole_ids_and_n_and_numeric_weights_pass(self, n, edges, weights, match):
+        with pytest.raises(DomainError, match=match):
+            build_hypergraph(n, edges, weights=weights)
+
+    def test_numpy_scalars_come_out_as_python_numbers(self, tmp_path):
+        h = build_hypergraph(
+            np.int64(4), [np.array([2, 0]), [np.int32(1), 3]], weights=np.array([0.5, 1.0])
+        )
+        assert h == build_hypergraph(4, [[0, 2], [1, 3]], weights=[0.5, 1.0])
+        assert {type(v) for v in (h.n, *chain(*h.edges))} == {int}
+        assert {type(w) for w in h.weights} == {float}
+        write_hypergraph(tmp_path / "h.json", h)
+        assert read_hypergraph(tmp_path / "h.json") == h
+
     @given(hypergraphs(weighted=True))
     def test_edges_always_sorted_distinct_in_range(self, h):
         seen = set()
@@ -84,6 +120,37 @@ class TestBuildHypergraph:
         assert len(h.weights) == h.m
         for w in h.weights:
             assert 0.0 < w <= 1.0
+
+
+def _scored_pool():
+    return infer_hypergraph(np.array([[0.0], [1.0], [10.0], [11.0]]), [2], TopM(1))[0]
+
+
+# Each call puts a float or a bool where an integer belongs. Every one of them
+# was once truncated, accepted or left to fail with a TypeError further in.
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: generate_candidates(np.eye(4), [2.9]), "hyperedge size 2.9"),
+        (lambda: select_edges(_scored_pool(), PerSize({2: 2.7})), r"PerSize\(counts=\{2: 2.7\}"),
+        (lambda: select_edges(_scored_pool(), TopM(2.7)), r"TopM\(m=2.7\)"),
+        (lambda: SynthConfig(40, {3.9: 2.5}, 0.0), "hyperedge size 3.9"),
+        (lambda: SynthConfig(40, {3: 2.5}, 0.0), "edge count for size 3 .* got 2.5"),
+        (lambda: SynthConfig(40.5, {3: 2}, 0.0), "node count n .* got 40.5"),
+        (lambda: GaussianModelConfig(dim=2.5), "dim must be an integer"),
+        (lambda: CandidateSet(n=3.5, nodes=[[0, 1]], anchors=[0]), "node count n .* got 3.5"),
+        (lambda: CandidateSet(n=3, nodes=[[0.0, 1.7]], anchors=[0]), "nodes, anchors .* float64"),
+        (lambda: run_sweep("overlap", [0.1], 1.5), "reps must be an integer"),
+        (lambda: SmoothnessVariant("random", seed=True), "seed must be .* got True"),
+    ],
+    ids=[
+        "sizes", "per-size-count", "top-m", "synth-size", "synth-count", "synth-n", "model-dim",
+        "pool-n", "pool-nodes", "sweep-reps", "variant-seed",
+    ],
+)
+def test_integer_parameters_take_whole_numbers_only(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 class TestIncidenceMatrix:
@@ -199,7 +266,7 @@ ROOT_API = {
 
 # Public names that live only in their modules, not at the package root.
 MODULE_ONLY = {
-    "core": ["SelectionSpec", "as_features"],
+    "core": ["SelectionSpec", "WHOLE", "as_features"],
     "smoothness": ["VARIANT_KINDS", "pairwise_sq_dists", "variant_edge_smoothness"],
     "probmodel": ["IncidenceLaplacian"],
     "synth": ["OVERLAP_TOLERANCE", "SyntheticDataset", "generate_ground_truth", "overlap_rate"],

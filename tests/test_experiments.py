@@ -92,6 +92,11 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="axis"):
             run_sweep("sigma", [1.0], 1)
 
+    @pytest.mark.parametrize("axis, value", [("nodes", 40.5), ("edge-size", 3.5)])
+    def test_fractional_grid_sizes_give_error_rows(self, axis, value):
+        rows = run_sweep(axis, [value], 1, n=40, edge_spec={4: 2}, dim=8)
+        assert [r["status"] for r in rows] == ["error:DomainError"]
+
     def test_bad_reps_and_empty_grid_rejected(self):
         with pytest.raises(DomainError, match="reps"):
             run_sweep("overlap", [0.1], 0)

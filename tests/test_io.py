@@ -241,3 +241,14 @@ class TestManifest:
             "seed": 9,
             "version": "0.1.0",
         }
+
+    def test_numpy_integers_are_written_as_json_integers(self, tmp_path):
+        cfg = SynthConfig(
+            np.int64(60), {np.int32(4): np.uint8(3)}, 0.2, dim=np.int32(16), seed=np.int16(9)
+        )
+        path = tmp_path / "manifest.json"
+        write_manifest(path, cfg, 0.1875, "0.1.0")
+        payload = json.loads(path.read_text())
+        assert (payload["n"], payload["edge_spec"], payload["dim"], payload["seed"]) == (
+            60, {"4": 3}, 16, 9
+        )
