@@ -13,7 +13,6 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
-import scipy.sparse
 
 
 class DomainError(ValueError):
@@ -59,7 +58,15 @@ SelectionSpec = Union[TopM, PerSize]
 
 # The types an integer input may have; bool, float and str are not among them.
 WHOLE = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
-_NUMBER = WHOLE | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+# The types a real-number input may have: WHOLE and every float type, never bool or str.
+REAL = WHOLE | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+
+
+def real(value, name: str) -> float:
+    """``value`` as a Python float, or a DomainError naming it if its type is not in REAL."""
+    if type(value) not in REAL:
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_seed(seed) -> None:
@@ -108,7 +115,7 @@ def build_hypergraph(
         if len(wts) != len(canon):
             raise DomainError(f"got {len(wts)} weights for {len(canon)} edges")
         for w in wts:
-            if type(w) not in _NUMBER or not 0.0 < w <= 1.0:  # also false for NaN and inf
+            if type(w) not in REAL or not 0.0 < w <= 1.0:  # also false for NaN and inf
                 raise DomainError(f"edge weight {w!r} is not a number in (0, 1]")
         wts = tuple(map(float, wts))
     return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
@@ -120,6 +127,8 @@ def incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
     Column i holds edge i's nodes in ascending order, each valued at the
     edge's weight (1 if unweighted). Built in O(nnz).
     """
+    import scipy.sparse
+
     sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=h.m)
     nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sizes.sum())
     weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)

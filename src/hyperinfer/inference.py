@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    REAL,
     WHOLE,
     DomainError,
     Hypergraph,
@@ -59,19 +60,24 @@ class CandidateSet:
         if any(a is not b for a, b in zip(self._checked, (self.n, self.nodes, self.anchors))):
             self._check_rows()
         if self.scores is not None:
-            s = np.asarray(self.scores, dtype=float)
-            if s.shape != (len(self),):
-                raise DomainError("scores are not aligned with candidates")
+            s = self._real_column("scores")
             if not np.all(np.isfinite(s)) or np.any(s < 0.0):
                 raise DomainError("scores must be finite and nonnegative")
-            object.__setattr__(self, "scores", s)
         if self.probs is not None:
-            w = np.asarray(self.probs, dtype=float)
-            if w.shape != (len(self),):
-                raise DomainError("probs are not aligned with candidates")
+            w = self._real_column("probs")
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0) or np.any(w > 1.0):
                 raise DomainError("probs must lie in (0, 1]")
-            object.__setattr__(self, "probs", w)
+
+    def _real_column(self, name: str) -> np.ndarray:
+        """The field ``name`` stored back as a float array: real numbers, one per row."""
+        values = np.asarray(getattr(self, name))
+        if values.dtype.type not in REAL:  # strings, booleans and objects are not coerced
+            raise DomainError(f"{name} must be real numbers, got {values.dtype}")
+        if values.shape != (len(self),):
+            raise DomainError(f"{name} are not aligned with candidates")
+        values = values.astype(float, copy=False)
+        object.__setattr__(self, name, values)
+        return values
 
     def _check_rows(self) -> None:
         if type(self.n) not in WHOLE or self.n < 1:
@@ -217,7 +223,10 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
         block[:, :k] = np.sort(with_anchor[:, :k], axis=1)
     nodes = blocks.reshape(-1, ks[-1])
     keep = np.flatnonzero(~_repeats(nodes))
-    return CandidateSet(n=n, nodes=nodes[keep], anchors=keep % n)
+    nodes, anchors = nodes[keep], keep % n
+    # The rows are checked by construction and by _repeats above, so the pool skips _check_rows.
+    nodes.flags.writeable = anchors.flags.writeable = False
+    return CandidateSet(n=n, nodes=nodes, anchors=anchors, _checked=(n, nodes, anchors))
 
 
 def score_candidates(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from .core import DomainError, Hypergraph, incidence
 from .inference import CandidateSet
@@ -70,7 +69,7 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     the total weight less m_pred. The weights are integers, so the value does
     not depend on which optimal matching the solver returns.
     """
-    # deferred: csgraph imports scipy.linalg, which the CLI's start-up leaves out
+    import scipy.sparse
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     _check_same_n(pred, truth)

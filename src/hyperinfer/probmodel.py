@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .core import WHOLE, DomainError, Hypergraph, check_seed, incidence, incidence_matrix
+from .core import WHOLE, DomainError, Hypergraph, check_seed, incidence, incidence_matrix, real
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +68,13 @@ class GaussianModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sigma = float(self.sigma)
+        sigma = real(self.sigma, "sigma")
         # sigma**2 is the precision's ridge: it must neither overflow nor vanish.
         if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
             raise DomainError(
                 f"sigma must be positive with a positive finite square, got {self.sigma}"
             )
+        object.__setattr__(self, "sigma", sigma)
         if type(self.dim) not in WHOLE or self.dim < 1:
             raise DomainError(f"feature dimension dim must be an integer >= 1, got {self.dim!r}")
         check_seed(self.seed)
@@ -98,7 +98,7 @@ def sample_features(
     nnz(H) dim) cost. Deterministic for a fixed seed. Returns (node rows,
     hyperedge rows).
     """
-    import scipy.linalg  # deferred: about a quarter second of import that inference never needs
+    import scipy.linalg  # scipy is imported only where it is used: see README, Install
 
     inc = lap.incidence
     var = cfg.sigma**2

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import WHOLE, DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence
+from .core import WHOLE, DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence, real
 from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
@@ -54,11 +54,13 @@ class SynthConfig:
             if type(c) not in WHOLE or c < 1:
                 raise DomainError(f"edge count for size {k} must be an integer >= 1, got {c!r}")
         object.__setattr__(self, "edge_spec", {int(k): int(c) for k, c in spec.items()})
-        if not 0.0 <= self.target_overlap < 1.0:
-            raise DomainError(
-                f"target overlap must lie in [0, 1), got {self.target_overlap}"
-            )
-        GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)  # checks sigma, dim, seed
+        overlap = real(self.target_overlap, "target overlap")
+        if not 0.0 <= overlap < 1.0:
+            raise DomainError(f"target overlap must lie in [0, 1), got {self.target_overlap}")
+        object.__setattr__(self, "target_overlap", overlap)
+        # The model config checks sigma, dim and seed, and holds sigma as a Python float.
+        model = GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)
+        object.__setattr__(self, "sigma", model.sigma)
 
 
 @dataclass(frozen=True, eq=False)

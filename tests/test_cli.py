@@ -677,16 +677,67 @@ class TestEntrypoints:
         assert "infer" in proc.stdout
         assert "synth" in proc.stdout
 
-    def test_importing_the_cli_leaves_out_scipy_linalg_and_optimize(self):
-        # Only sampling needs scipy.linalg and only hgmse needs scipy.optimize;
-        # together they are about half a second of every command's start-up.
+    def test_start_up_and_infer_load_no_scipy(self, tmp_path):
+        # Only sampling, the incidence and hgmse use scipy, so the package, the
+        # CLI, --version and every infer run on numpy alone: importing scipy
+        # would more than double their start-up.
+        good, bad = tmp_path / "x.csv", tmp_path / "bad.csv"
+        write_features(good, np.random.default_rng(0).normal(size=(12, 3)))
+        bad.write_text("0.5,abc\n")
+        infer = ["infer", "--sizes", "3", "--top-m", "2", "--out", str(tmp_path / "p.json")]
         proc = _run_python(
             "-c",
-            "import sys, hyperinfer.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))",
+            """
+import sys
+def probe(*step):
+    print("probe:", *step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import hyperinfer
+probe("import hyperinfer")
+import hyperinfer.cli
+probe("import hyperinfer.cli")
+try:
+    hyperinfer.cli.main(["--version"])
+except SystemExit as exc:
+    probe("--version", exc.code)
+for features in sys.argv[1:3]:
+    probe("infer", hyperinfer.cli.main([*sys.argv[3:], "--features", features]))
+""",
+            str(good),
+            str(bad),
+            *infer,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert [line for line in proc.stdout.splitlines() if line.startswith("probe:")] == [
+            "probe: import hyperinfer []",
+            "probe: import hyperinfer.cli []",
+            "probe: --version 0 []",
+            "probe: infer 0 []",
+            "probe: infer 2 []",
+        ]
+
+    def test_synth_infer_eval_each_in_a_cold_process(self, tmp_path):
+        # Each command starts a fresh interpreter, so a deferred scipy import
+        # that went missing fails here even after other tests loaded scipy.
+        data, pred = tmp_path / "data", str(tmp_path / "pred.json")
+        features, truth = str(data / "node_features.csv"), str(data / "truth.json")
+        steps = [
+            [*"synth --nodes 40 --edges 3=6 --overlap 0.3 --dim 8 --out".split(), str(data)],
+            [*"infer --sizes 3 --per-size 3=6 --out".split(), pred, "--features", features],
+            ["eval", "--pred", pred, "--truth", truth],
+        ]
+        loads_scipy = {}
+        for argv in steps:
+            proc = _run_python("-X", "importtime", "-m", "hyperinfer", *argv)
+            assert proc.returncode == 0, proc.stderr
+            imported = [
+                line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")
+            ]
+            loads_scipy[argv[0]] = any(m.split(".")[0] == "scipy" for m in imported)
+        assert "hgmse" in proc.stdout
+        # synth and eval use scipy, which shows that the probe sees it.
+        assert loads_scipy == {"synth": True, "infer": False, "eval": True}
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

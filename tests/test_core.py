@@ -153,6 +153,23 @@ def test_integer_parameters_take_whole_numbers_only(call, match):
         call()
 
 
+# Each call puts a bool, a string or None where a real number belongs; the
+# first three were once read as 1.0, 0.001 and 0.0.
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SynthConfig(40, {3: 2}, 0.0, sigma=True), "sigma must be a real number, got True"),
+        (lambda: GaussianModelConfig(sigma="1e-3"), "sigma must be a real number, got '1e-3'"),
+        (lambda: SynthConfig(40, {3: 2}, False), "target overlap must be a real number"),
+        (lambda: SynthConfig(40, {3: 2}, None), "target overlap must be a real number"),
+    ],
+    ids=["synth-sigma", "model-sigma", "synth-overlap-bool", "synth-overlap-none"],
+)
+def test_real_parameters_take_numbers_only(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 class TestIncidenceMatrix:
     # Every case runs through the sparse builder and its dense form alike.
     def test_two_overlapping_edges(self):
@@ -266,7 +283,7 @@ ROOT_API = {
 
 # Public names that live only in their modules, not at the package root.
 MODULE_ONLY = {
-    "core": ["SelectionSpec", "WHOLE", "as_features"],
+    "core": ["REAL", "SelectionSpec", "WHOLE", "as_features", "real"],
     "smoothness": ["VARIANT_KINDS", "pairwise_sq_dists", "variant_edge_smoothness"],
     "probmodel": ["IncidenceLaplacian"],
     "synth": ["OVERLAP_TOLERANCE", "SyntheticDataset", "generate_ground_truth", "overlap_rate"],

@@ -74,6 +74,12 @@ class TestCandidateSetValidation:
     def test_duplicate_node_sets_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             _pool(4, [(0, 1), (0, 1)], None)
+        # Read-only rows like the search's own are checked too when built by hand.
+        cs = generate_candidates(TWO_PAIRS, [2])
+        nodes, anchors = np.vstack((cs.nodes, cs.nodes[:1])), np.append(cs.anchors, 1)
+        nodes.flags.writeable = anchors.flags.writeable = False
+        with pytest.raises(DomainError, match="duplicate"):
+            CandidateSet(n=cs.n, nodes=nodes, anchors=anchors)
 
     def test_pool_bound_is_enforced(self):
         # Six distinct pairs over four nodes: more than len(sizes) * n rows.
@@ -90,7 +96,14 @@ class TestCandidateSetValidation:
 
     @pytest.mark.parametrize(
         "probs, scores, match",
-        [(None, [-1.0], "nonnegative"), ([0.5, 0.5], None, "aligned"), ([0.0], None, "probs")],
+        [
+            (None, [-1.0], "nonnegative"),
+            ([0.5, 0.5], None, "aligned"),
+            ([0.0], None, "probs"),
+            (None, ["0.5"], "scores must be real numbers"),
+            ([True], None, "probs must be real numbers"),
+            ([None], None, "probs must be real numbers"),
+        ],
     )
     def test_other_bad_scores_and_probs_rejected(self, probs, scores, match):
         with pytest.raises(DomainError, match=match):
@@ -103,12 +116,18 @@ class TestCandidateSetValidation:
         assert len(cs) == 3
 
     def test_rows_are_checked_once_per_pool(self, monkeypatch):
+        # The search checks its rows where it makes them, so its pool skips
+        # _check_rows; a pool built by hand is checked once, then again only
+        # when replace() changes n, nodes or anchors.
         calls = []
         check = CandidateSet._check_rows
         monkeypatch.setattr(CandidateSet, "_check_rows", lambda cs: calls.append(cs) or check(cs))
         cs, _ = infer_hypergraph(TWO_PAIRS, [2], TopM(1))
-        assert len(calls) == 1
+        assert calls == []
         assert not cs.nodes.flags.writeable and not cs.anchors.flags.writeable
+        by_hand = CandidateSet(n=cs.n, nodes=cs.nodes, anchors=cs.anchors)
+        replace(by_hand, probs=cs.probs)
+        assert len(calls) == 1
         with pytest.raises(DomainError, match="out of range"):
             replace(cs, n=3)
         assert len(calls) == 2

@@ -252,3 +252,11 @@ class TestManifest:
         assert (payload["n"], payload["edge_spec"], payload["dim"], payload["seed"]) == (
             60, {"4": 3}, 16, 9
         )
+
+    def test_numpy_floats_are_written_as_json_numbers(self, tmp_path):
+        cfg = SynthConfig(60, {4: 3}, np.float32(0.25), sigma=np.float32(1e-3), dim=16)
+        path = tmp_path / "manifest.json"
+        write_manifest(path, cfg, 0.1875, "0.1.0")
+        payload = json.loads(path.read_text())
+        assert (payload["target_overlap"], payload["sigma"]) == (0.25, float(np.float32(1e-3)))
+        assert SynthConfig(60, {4: 3}, payload["target_overlap"], payload["sigma"], 16) == cfg
