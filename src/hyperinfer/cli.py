@@ -162,8 +162,7 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+        writer.writerows(rows)  # csv writes None as an empty field
     for row in rows:
         if row["seed"] == "summary":
             line = (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +60,15 @@ SelectionSpec = Union[TopM, PerSize]
 WHOLE = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 # The types a real-number input may have: WHOLE and every float type, never bool or str.
 REAL = WHOLE | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+# The largest integer input: np.intp indexes every array over the nodes.
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def whole(value, name: str, low: int) -> int:
+    """The one rule for a scalar integer: a WHOLE type in [low, INTP_MAX], returned as an int."""
+    if type(value) not in WHOLE or not low <= int(value) <= INTP_MAX:
+        raise DomainError(f"{name} must be an integer in [{low}, {INTP_MAX}], got {value!r}")
+    return int(value)
 
 
 def real(value, name: str) -> float:
@@ -69,12 +78,6 @@ def real(value, name: str) -> float:
     return float(value)
 
 
-def check_seed(seed) -> None:
-    """Reject a seed numpy's generators would refuse: it must be a non-negative integer."""
-    if type(seed) not in WHOLE or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def build_hypergraph(
     n: int,
     edges: Iterable[Iterable[int]],
@@ -82,15 +85,14 @@ def build_hypergraph(
 ) -> Hypergraph:
     """Validate and canonicalise a hypergraph: the one check every hypergraph passes.
 
-    ``n`` and the node ids must have a ``WHOLE`` type and ``n`` must fit
-    ``np.intp``, the index type of every array over the nodes; weights must be
-    integers or floats. Nothing else is coerced: node id 1.7 is an error, not
-    node 1. Edges come out as sorted tuples of Python ints, weights as Python
-    floats. Duplicate node sets, out-of-range indices, edges smaller than 2
-    nodes, a node repeated within an edge and weights outside (0, 1] are errors.
+    ``n`` passes ``whole`` and the node ids must have a ``WHOLE`` type;
+    weights must be integers or floats. Nothing else is coerced: node id 1.7
+    is an error, not node 1. Edges come out as sorted tuples of Python ints,
+    weights as Python floats. Duplicate node sets, out-of-range indices, edges
+    smaller than 2 nodes, a node repeated within an edge and weights outside
+    (0, 1] are errors.
     """
-    if type(n) not in WHOLE or not 1 <= n <= np.iinfo(np.intp).max:
-        raise DomainError(f"node count must be a positive integer that fits np.intp, got {n!r}")
+    n = whole(n, "node count n", 1)
     canon: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for raw in edges:
@@ -118,14 +120,15 @@ def build_hypergraph(
             if type(w) not in REAL or not 0.0 < w <= 1.0:  # also false for NaN and inf
                 raise DomainError(f"edge weight {w!r} is not a number in (0, 1]")
         wts = tuple(map(float, wts))
-    return Hypergraph(n=int(n), edges=tuple(canon), weights=wts)
+    return Hypergraph(n=n, edges=tuple(canon), weights=wts)
 
 
-def incidence(h: Hypergraph) -> scipy.sparse.csc_matrix:
+def incidence(h: Hypergraph) -> Any:
     """The sparse n x m incidence H, the one place edge lists become a matrix.
 
-    Column i holds edge i's nodes in ascending order, each valued at the
-    edge's weight (1 if unweighted). Built in O(nnz).
+    H is a ``scipy.sparse.csc_matrix``, annotated ``Any`` because scipy is
+    imported only when this runs. Column i holds edge i's nodes in ascending
+    order, each valued at the edge's weight (1 if unweighted). Built in O(nnz).
     """
     import scipy.sparse
 

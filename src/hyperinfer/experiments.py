@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import WHOLE, DomainError, Hypergraph, PerSize, normalize_features
+from .core import DomainError, Hypergraph, PerSize, normalize_features, whole
 from .inference import CandidateSet, infer_hypergraph
 from .metrics import MatchReport, SeparationReport, f1_exact, hgmse, probability_separation
 from .smoothness import SmoothnessVariant
@@ -109,8 +109,7 @@ def run_sweep(
         raise DomainError(
             f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}"
         )
-    if type(reps) not in WHOLE or reps < 1:
-        raise DomainError(f"reps must be an integer >= 1, got {reps!r}")
+    reps = whole(reps, "reps", 1)
     if not values:
         raise DomainError("sweep needs at least one grid value")
     edge_spec = dict(edge_spec) if edge_spec is not None else {8: 12}
@@ -119,9 +118,7 @@ def run_sweep(
         point_n = value if axis == "nodes" else n
         point_spec = {value: sum(edge_spec.values())} if axis == "edge-size" else edge_spec
         point_overlap = float(value) if axis == "overlap" else overlap
-        f1s: list[float] = []
-        errs: list[float] = []
-        gaps: list[float] = []
+        runs: list[dict] = []
         for rep in range(reps):
             run_seed = seed + rep
             row = dict.fromkeys(SWEEP_COLUMNS)
@@ -149,12 +146,13 @@ def run_sweep(
                 row["f1"] = result.match.f1
                 row["hgmse"] = result.hgmse
                 row["gap"] = result.separation.gap
-                f1s.append(result.match.f1)
-                errs.append(result.hgmse)
-                if result.separation.gap is not None:
-                    gaps.append(result.separation.gap)
-            rows.append(row)
-        if f1s:
+            runs.append(row)
+        rows.extend(runs)
+        ok = [row for row in runs if row["status"] == "ok"]
+        if ok:
+            f1s = [row["f1"] for row in ok]
+            errs = [row["hgmse"] for row in ok]
+            gaps = [row["gap"] for row in ok if row["gap"] is not None]
             rows.append(
                 {
                     "axis": axis,

@@ -26,6 +26,7 @@ from .core import (
     SelectionSpec,
     TopM,
     as_features,
+    whole,
 )
 from .smoothness import SmoothnessVariant, pairwise_sq_dists, row_chunks, variant_edge_smoothness
 
@@ -80,8 +81,7 @@ class CandidateSet:
         return values
 
     def _check_rows(self) -> None:
-        if type(self.n) not in WHOLE or self.n < 1:
-            raise DomainError(f"node count n must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", whole(self.n, "node count n", 1))
         nodes, anchors = np.asarray(self.nodes), np.asarray(self.anchors)
         if any(a.size and a.dtype.type not in WHOLE for a in (nodes, anchors)):
             raise DomainError(f"nodes, anchors must be integers: {nodes.dtype}, {anchors.dtype}")
@@ -144,15 +144,13 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
 
 
 def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
-    ks = list(sizes)
+    ks = [whole(k, "hyperedge size", 2) for k in sizes]
     if not ks:
         raise DomainError("at least one hyperedge size is required")
     for k in ks:
-        if type(k) not in WHOLE or k < 2:
-            raise DomainError(f"hyperedge size {k!r} is not an integer >= 2; sizes start at 2")
         if k > n:
             raise DomainError(f"hyperedge size {k} exceeds the node count {n}")
-    return tuple(sorted(set(map(int, ks))))
+    return tuple(sorted(set(ks)))
 
 
 def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
@@ -307,7 +305,7 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
             raise InfeasibleError(f"not enough {what}: requested {want}, have {len(have)}")
         picks.append(have[:want])
     chosen = np.concatenate(picks)
-    return Hypergraph(int(cs.n), tuple(cs.edges(chosen)), tuple(cs.probs[chosen].tolist()))
+    return Hypergraph(cs.n, tuple(cs.edges(chosen)), tuple(cs.probs[chosen].tolist()))
 
 
 def infer_hypergraph(

@@ -159,13 +159,13 @@ def write_metrics(
 def write_manifest(path, cfg: SynthConfig, achieved_overlap: float, version: str) -> None:
     """Record every parameter needed to regenerate a dataset, plus the outcome."""
     payload = {
-        "n": int(cfg.n),
-        "edge_spec": {str(k): int(c) for k, c in sorted(cfg.edge_spec.items())},
+        "n": cfg.n,
+        "edge_spec": {str(k): c for k, c in sorted(cfg.edge_spec.items())},
         "target_overlap": cfg.target_overlap,
         "achieved_overlap": achieved_overlap,
         "sigma": cfg.sigma,
-        "dim": int(cfg.dim),
-        "seed": int(cfg.seed),
+        "dim": cfg.dim,
+        "seed": cfg.seed,
         "version": version,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -18,23 +18,24 @@ costs O(m^3 + nnz(H) d) time and O(m^2 + (n+m) d) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .core import WHOLE, DomainError, Hypergraph, check_seed, incidence, incidence_matrix, real
+from .core import INTP_MAX, DomainError, Hypergraph, incidence, incidence_matrix, real, whole
 
 
 @dataclass(frozen=True, eq=False)
 class IncidenceLaplacian:
     """Laplacian of a hypergraph's bipartite incidence graph, held as its incidence.
 
-    ``incidence`` is the sparse n x m weighted incidence H, which fixes the
-    whole Laplacian. ``matrix`` builds the dense (n+m) x (n+m) array only
-    when it is read.
+    ``incidence`` is the sparse n x m weighted incidence H, a
+    ``scipy.sparse.csc_matrix``, which fixes the whole Laplacian. ``matrix``
+    builds the dense (n+m) x (n+m) array only when it is read.
     """
 
     hypergraph: Hypergraph
-    incidence: scipy.sparse.csc_matrix
+    incidence: Any
 
     @property
     def n(self) -> int:
@@ -75,9 +76,8 @@ class GaussianModelConfig:
                 f"sigma must be positive with a positive finite square, got {self.sigma}"
             )
         object.__setattr__(self, "sigma", sigma)
-        if type(self.dim) not in WHOLE or self.dim < 1:
-            raise DomainError(f"feature dimension dim must be an integer >= 1, got {self.dim!r}")
-        check_seed(self.seed)
+        object.__setattr__(self, "dim", whole(self.dim, "feature dimension dim", 1))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", 0))
 
 
 def incidence_laplacian(h: Hypergraph) -> IncidenceLaplacian:
@@ -96,8 +96,12 @@ def sample_features(
     docstring): x_e = chol(S)^-1 z_e and x_v = A^-1/2 z_v + A^-1 H x_e. That
     is the same R and the same z as a dense factorisation, at O(m^3 +
     nnz(H) dim) cost. Deterministic for a fixed seed. Returns (node rows,
-    hyperedge rows).
+    hyperedge rows). A matrix whose bytes np.intp cannot count is refused first.
     """
+    if 8 * lap.size * cfg.dim > INTP_MAX:
+        raise DomainError(
+            f"a float64 feature matrix of shape ({lap.size}, {cfg.dim}) is too large to index"
+        )
     import scipy.linalg  # scipy is imported only where it is used: see README, Install
 
     inc = lap.incidence

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_features is unused here, but perfbench/spans.py wraps this module's binding of it.
-from .core import DomainError, as_features, check_seed  # noqa: F401
+from .core import DomainError, as_features, whole  # noqa: F401
 
 VARIANT_KINDS = ("max", "mean", "min", "random")
 
@@ -42,7 +42,7 @@ class SmoothnessVariant:
         if self.kind == "random" and self.seed is None:
             raise DomainError("random smoothness variant requires an explicit seed")
         if self.seed is not None:
-            check_seed(self.seed)
+            object.__setattr__(self, "seed", whole(self.seed, "seed", 0))
 
 
 def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:

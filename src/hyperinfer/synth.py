@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import WHOLE, DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence, real
+from .core import DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence, real, whole
 from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
@@ -43,24 +43,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.n) not in WHOLE or self.n < 1:
-            raise DomainError(f"node count n must be an integer >= 1, got {self.n!r}")
-        spec = dict(self.edge_spec)
+        object.__setattr__(self, "n", whole(self.n, "node count n", 1))
+        spec = {}
+        for k, c in dict(self.edge_spec).items():
+            k = whole(k, "hyperedge size", 2)
+            spec[k] = whole(c, f"edge count for size {k}", 1)
         if not spec:
             raise DomainError("edge_spec must request at least one hyperedge")
-        for k, c in spec.items():
-            if type(k) not in WHOLE or k < 2:
-                raise DomainError(f"hyperedge size {k!r} is not an integer >= 2; sizes start at 2")
-            if type(c) not in WHOLE or c < 1:
-                raise DomainError(f"edge count for size {k} must be an integer >= 1, got {c!r}")
-        object.__setattr__(self, "edge_spec", {int(k): int(c) for k, c in spec.items()})
+        object.__setattr__(self, "edge_spec", spec)
         overlap = real(self.target_overlap, "target overlap")
         if not 0.0 <= overlap < 1.0:
             raise DomainError(f"target overlap must lie in [0, 1), got {self.target_overlap}")
         object.__setattr__(self, "target_overlap", overlap)
-        # The model config checks sigma, dim and seed, and holds sigma as a Python float.
+        # The model config checks sigma, dim and seed, and holds them as a Python float and ints.
         model = GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)
-        object.__setattr__(self, "sigma", model.sigma)
+        for name in ("sigma", "dim", "seed"):
+            object.__setattr__(self, name, getattr(model, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +230,20 @@ def _plant(
     return edges, _overlap(np.array(degree), flat, sizes)[1]
 
 
+def _distinct_edges(n: int, k: int, count: int) -> int:
+    """C(n, k) for n >= k, or a number >= count once the running product passes it.
+
+    The product C(n, i), i <= min(k, n - k), never falls and is at least 2**i,
+    so it stops within count.bit_length() steps.
+    """
+    c = 1
+    for i in range(min(k, n - k)):
+        c = c * (n - i) // (i + 1)
+        if c >= count:
+            break
+    return c
+
+
 def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     """Plant a hypergraph with the requested per-size counts and overlap.
 
@@ -242,13 +254,19 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     plants all restart each edge's generator from the state saved then.
     Trial plants are measured as they are, without validation; only the plant
     that is returned goes through build_hypergraph. Deterministic for a fixed
-    config.
+    config. A size that does not fit in n nodes, or a count above the number of
+    distinct edges of its size, fails before any per-edge state is built.
     """
+    if max(cfg.edge_spec) > cfg.n:
+        raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
+    for k, count in sorted(cfg.edge_spec.items()):
+        distinct = _distinct_edges(cfg.n, k, count)
+        if distinct < count:
+            raise InfeasibleError(
+                f"cannot plant {count} distinct hyperedges of size {k}: "
+                f"{cfg.n} nodes hold only {distinct}"
+            )
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
-    if max(edge_sizes) > cfg.n:
-        raise InfeasibleError(
-            f"hyperedge size {max(edge_sizes)} does not fit in {cfg.n} nodes"
-        )
     target = cfg.target_overlap
     best_gap = np.inf
     for attempt in range(_ATTEMPTS):

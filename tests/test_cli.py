@@ -118,7 +118,7 @@ class TestInfer:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "error: seed must be a non-negative integer, got -5\n"
+        assert err == "error: seed must be an integer in [0, 9223372036854775807], got -5\n"
         assert not (tmp_path / "pred.json").exists()
 
     def test_features_too_large_to_search_are_a_domain_failure(self, tmp_path):
@@ -331,8 +331,63 @@ class TestSynth:
     def test_negative_seed_is_a_domain_failure(self, tmp_path, capsys):
         assert self._generate(tmp_path / "ds", seed="-1") == 3
         err = capsys.readouterr().err
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: seed must be an integer in [0, 9223372036854775807], got -1\n"
         assert not (tmp_path / "ds").exists()
+
+    # Each integer lies beyond what np.intp, or the bytes of the feature matrix,
+    # can hold. The node count and the feature dimension once ended in a
+    # traceback and exit 1; the seed was accepted.
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--nodes", "9223372036854775808", "--edges", "2=1", "--dim", "2"],
+                "node count n must be an integer in [1, 9223372036854775807], "
+                "got 9223372036854775808",
+            ),
+            (
+                ["--nodes", "40", "--edges", "3=4", "--dim", "2",
+                 "--seed", "99999999999999999999999"],
+                "seed must be an integer in [0, 9223372036854775807], got 99999999999999999999999",
+            ),
+            (
+                ["--nodes", "40", "--edges", "3=4", "--dim", "4611686018427387904"],
+                "a float64 feature matrix of shape (44, 4611686018427387904) is too large to index",
+            ),
+            (
+                ["--nodes", "10", "--edges", "8=50", "--dim", "2"],
+                "cannot plant 50 distinct hyperedges of size 8: 10 nodes hold only 45",
+            ),
+        ],
+        ids=["nodes", "seed", "dim", "edge-count"],
+    )
+    def test_integer_too_large_is_a_domain_failure(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "ds"
+        assert _run("synth", *flags, "--overlap", "0", "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_count_beyond_the_distinct_edges_fails_before_any_per_edge_state(
+        self, tmp_path, monkeypatch
+    ):
+        # Building one entry per requested edge would take 2**63 of them; the
+        # child's address-space limit turns that into an out-of-memory line.
+        out = tmp_path / "ds"
+        proc = _run_module_limited(
+            monkeypatch,
+            "synth",
+            "--nodes", "40",
+            "--edges", "3=9223372036854775807",
+            "--overlap", "0.3",
+            "--dim", "2",
+            "--out", str(out),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: cannot plant 9223372036854775807 distinct hyperedges of size 3: "
+            "40 nodes hold only 9880\n"
+        )
+        assert not out.exists()
 
 
 class TestEval:
@@ -602,6 +657,22 @@ class TestSweep:
         assert [(r["seed"], r["status"]) for r in rows] == 2 * [
             ("-3", "error:DomainError"), ("-2", "error:DomainError"),
             ("-1", "error:DomainError"), ("0", "ok"),
+        ]
+        assert capsys.readouterr().err == ""
+
+    def test_node_count_beyond_intp_gives_an_error_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = _run(
+            "sweep",
+            "--axis", "nodes",
+            "--values", "9223372036854775808",
+            "--reps", "1",
+            "--dim", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            "nodes,9223372036854775808,0,error:DomainError,,,,,"
         ]
         assert capsys.readouterr().err == ""
 

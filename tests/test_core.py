@@ -1,7 +1,11 @@
 """Hypergraph construction, incidence matrices, feature validation, and the root API."""
 
 import importlib
+import inspect
+import pkgutil
+import re
 import types
+import typing
 import warnings
 from itertools import chain
 
@@ -28,7 +32,7 @@ from hyperinfer import (
     run_sweep,
     select_edges,
 )
-from hyperinfer.core import as_features, incidence
+from hyperinfer.core import INTP_MAX, as_features, incidence, whole
 from hyperinfer.io import read_hypergraph, write_hypergraph
 
 
@@ -65,7 +69,7 @@ class TestBuildHypergraph:
             build_hypergraph(3, [[0, 0, 1]])
 
     def test_nonpositive_node_count_rejected(self):
-        with pytest.raises(DomainError, match="positive"):
+        with pytest.raises(DomainError, match=r"node count n must be an integer in \[1, .*got 0"):
             build_hypergraph(0, [])
 
     def test_empty_edge_list_allowed(self):
@@ -87,8 +91,8 @@ class TestBuildHypergraph:
         [
             (3, [[0, 1.7]], None, r"hyperedge \(0, 1.7\) has a node id that is not an integer"),
             (3, [[True, 2]], None, r"hyperedge \(True, 2\) has a node id that is not an integer"),
-            (3.9, [[0, 1]], None, "node count must be a positive integer"),
-            (2**63, [[0, 1]], None, "node count must be a positive integer that fits np.intp"),
+            (3.9, [[0, 1]], None, "node count n must be an integer .* got 3.9"),
+            (2**63, [[0, 1]], None, r"node count n .* 9223372036854775807\], got 9223372036854775808"),
             (3, [[0, 1]], ["0.5"], "edge weight '0.5' is not a number"),
             (3, [[0, 1]], [True], "edge weight True is not a number"),
         ],
@@ -131,10 +135,10 @@ def _scored_pool():
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: generate_candidates(np.eye(4), [2.9]), "hyperedge size 2.9"),
+        (lambda: generate_candidates(np.eye(4), [2.9]), "hyperedge size .* got 2.9"),
         (lambda: select_edges(_scored_pool(), PerSize({2: 2.7})), r"PerSize\(counts=\{2: 2.7\}"),
         (lambda: select_edges(_scored_pool(), TopM(2.7)), r"TopM\(m=2.7\)"),
-        (lambda: SynthConfig(40, {3.9: 2.5}, 0.0), "hyperedge size 3.9"),
+        (lambda: SynthConfig(40, {3.9: 2.5}, 0.0), "hyperedge size .* got 3.9"),
         (lambda: SynthConfig(40, {3: 2.5}, 0.0), "edge count for size 3 .* got 2.5"),
         (lambda: SynthConfig(40.5, {3: 2}, 0.0), "node count n .* got 40.5"),
         (lambda: GaussianModelConfig(dim=2.5), "dim must be an integer"),
@@ -151,6 +155,51 @@ def _scored_pool():
 def test_integer_parameters_take_whole_numbers_only(call, match):
     with pytest.raises(DomainError, match=match):
         call()
+
+
+# Every scalar integer parameter, its name in the message and its lowest value.
+INTEGER_SITES = {
+    "hypergraph-n": (lambda v: build_hypergraph(v, []), "node count n", 1),
+    "pool-n": (lambda v: CandidateSet(n=v, nodes=[[0, 1]], anchors=[0]), "node count n", 1),
+    "synth-n": (lambda v: SynthConfig(v, {2: 1}, 0.0), "node count n", 1),
+    "sizes": (lambda v: generate_candidates(np.eye(4), [v]), "hyperedge size", 2),
+    "synth-size": (lambda v: SynthConfig(40, {v: 1}, 0.0), "hyperedge size", 2),
+    "synth-count": (lambda v: SynthConfig(40, {3: v}, 0.0), "edge count for size 3", 1),
+    "model-dim": (lambda v: GaussianModelConfig(dim=v), "feature dimension dim", 1),
+    "model-seed": (lambda v: GaussianModelConfig(seed=v), "seed", 0),
+    "synth-seed": (lambda v: SynthConfig(40, {3: 1}, 0.0, seed=v), "seed", 0),
+    "variant-seed": (lambda v: SmoothnessVariant("random", seed=v), "seed", 0),
+    # No grid values: a reps the rule let through fails at once, not after 2**63 runs.
+    "sweep-reps": (lambda v: run_sweep("overlap", [], v), "reps", 1),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+@pytest.mark.parametrize("bad", ["below", "float", "bool", "beyond-intp"])
+def test_each_integer_parameter_passes_the_one_rule(site, bad):
+    call, name, low = INTEGER_SITES[site]
+    value = {"below": low - 1, "float": float(low), "bool": True, "beyond-intp": INTP_MAX + 1}[bad]
+    message = f"{name} must be an integer in [{low}, {INTP_MAX}], got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_integer_parameters_are_held_as_python_ints():
+    assert INTP_MAX == np.iinfo(np.intp).max
+    assert whole(np.uint64(INTP_MAX), "x", 0) == INTP_MAX
+    with pytest.raises(DomainError, match="x must be an integer"):
+        whole(np.uint64(INTP_MAX + 1), "x", 0)
+    synth = SynthConfig(
+        np.int64(40), {np.int32(3): np.uint8(2)}, 0.0, dim=np.int16(4), seed=np.uint64(7)
+    )
+    model = GaussianModelConfig(dim=np.int8(3), seed=np.int64(5))
+    variant = SmoothnessVariant("random", seed=np.uint16(9))
+    pool = CandidateSet(n=np.int32(3), nodes=[[0, 1]], anchors=[0])
+    held = [synth.n, *synth.edge_spec.items(), synth.dim, synth.seed]
+    held += [model.dim, model.seed, variant.seed, pool.n]
+    assert held == [40, (3, 2), 4, 7, 3, 5, 9, 3]
+    assert {type(v) for v in held} == {int, tuple}
+    assert {type(v) for v in chain(*synth.edge_spec.items())} == {int}
 
 
 # Each call puts a bool, a string or None where a real number belongs; the
@@ -283,7 +332,7 @@ ROOT_API = {
 
 # Public names that live only in their modules, not at the package root.
 MODULE_ONLY = {
-    "core": ["REAL", "SelectionSpec", "WHOLE", "as_features", "real"],
+    "core": ["INTP_MAX", "REAL", "SelectionSpec", "WHOLE", "as_features", "real", "whole"],
     "smoothness": ["VARIANT_KINDS", "pairwise_sq_dists", "variant_edge_smoothness"],
     "probmodel": ["IncidenceLaplacian"],
     "synth": ["OVERLAP_TOLERANCE", "SyntheticDataset", "generate_ground_truth", "overlap_rate"],
@@ -308,3 +357,32 @@ def test_root_exports_only_the_documented_api():
         for name in names:
             getattr(mod, name)
             assert not hasattr(hyperinfer, name), name
+
+
+def _annotated():
+    """Every function, class, method and property getter the package's modules define."""
+    for info in pkgutil.iter_modules(hyperinfer.__path__, "hyperinfer."):
+        if info.name == "hyperinfer.__main__":
+            continue
+        mod = importlib.import_module(info.name)
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield obj
+                for member in vars(obj).values():
+                    member = getattr(member, "fget", member)
+                    if inspect.isfunction(member):
+                        yield member
+
+
+def test_every_annotation_resolves():
+    # Modules import scipy only inside the functions that use it, so an
+    # annotation naming a scipy type would not resolve.
+    checked = 0
+    for obj in _annotated():
+        typing.get_type_hints(obj)
+        checked += 1
+    assert checked > 50

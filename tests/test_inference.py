@@ -177,7 +177,7 @@ class TestGenerateCandidates:
         assert cs.sizes == (2, 3)
 
     def test_size_below_two_rejected(self):
-        with pytest.raises(DomainError, match="sizes start at 2"):
+        with pytest.raises(DomainError, match=r"hyperedge size must be an integer in \[2, .*got 1"):
             generate_candidates(TWO_PAIRS, sizes=[1])
 
     def test_size_beyond_node_count_rejected(self):

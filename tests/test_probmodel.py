@@ -162,6 +162,13 @@ class TestSampleFeatures:
                 assert np.abs(g - w).max(initial=0.0) <= 1e-9 * scale
         assert isolated >= 5 and crowded >= 5
 
+    def test_feature_matrix_too_large_to_index_is_refused_before_any_draw(self):
+        # 5 x 2**62 float64 entries hold 5 * 2**65 bytes, past the np.intp maximum;
+        # numpy would fail with "array is too big".
+        lap = incidence_laplacian(build_hypergraph(4, [[0, 1, 2]]))
+        with pytest.raises(DomainError, match=r"shape \(5, 4611686018427387904\) is too large"):
+            sample_features(lap, GaussianModelConfig(dim=2**62))
+
     def test_failed_factorisation_is_a_domain_error(self):
         # sigma^2 = 1e-18 vanishes next to the unit degrees, so the precision
         # of a single edge is singular in floating point.

@@ -1,6 +1,7 @@
 """Synthetic ground truth with controlled overlap, and its sampled features."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from hyperinfer import (
     build_hypergraph,
     make_dataset,
 )
+from hyperinfer import synth
 from hyperinfer.smoothness import variant_edge_smoothness
 from hyperinfer.synth import (
     OVERLAP_TOLERANCE,
+    _distinct_edges,
     _draw_fresh,
     _edge_draws,
     _plant,
@@ -140,6 +143,29 @@ class TestGenerateGroundTruth:
         cfg = SynthConfig(n=5, edge_spec={8: 1}, target_overlap=0.0)
         with pytest.raises(InfeasibleError):
             generate_ground_truth(cfg)
+
+    def test_more_edges_than_distinct_node_sets_fail_before_planting(self, monkeypatch):
+        # Only C(10, 8) = 45 size-8 edges exist on 10 nodes. The search once
+        # bisected for seconds before it gave up with an infinite gap.
+        def no_per_edge_state(*args):
+            raise AssertionError("per-edge state was built")
+
+        monkeypatch.setattr(synth, "_edge_draws", no_per_edge_state)
+        cfg = SynthConfig(n=10, edge_spec={3: 2, 8: 50}, target_overlap=0.3)
+        with pytest.raises(
+            InfeasibleError,
+            match=r"^cannot plant 50 distinct hyperedges of size 8: 10 nodes hold only 45$",
+        ):
+            generate_ground_truth(cfg)
+
+    def test_distinct_edge_count_stops_once_it_passes_the_count(self):
+        for n in range(2, 30):
+            for k in range(2, n + 1):
+                for count in (1, 2, 45, 46, 10**6, 2**63 - 1):
+                    got, full = _distinct_edges(n, k, count), math.comb(n, k)
+                    assert got == full if full < count else full >= got >= count
+        # C(2**62, 2**61) has about 2**62 bits; its first 64 factors pass any count.
+        assert _distinct_edges(2**62, 2**61, 2**63 - 1) >= 2**63 - 1
 
     def test_fixed_seed_reproduces_the_same_truth(self):
         cfg = SynthConfig(n=60, edge_spec={6: 6}, target_overlap=0.25, seed=11)
