@@ -101,9 +101,10 @@ def run_sweep(
     Row schema follows SWEEP_COLUMNS; per-run rows leave the std columns None
     and summary rows carry seed="summary". A run row's gap is that run's
     probability-separation gap; a summary row's gap is the smallest among its
-    runs, the worst case. gap is None where no gap is defined. A failed point
-    becomes a row with status "error:<kind>" and the sweep moves on. Seeds are
-    paired: rep r uses seed + r at every grid value.
+    runs, the worst case. gap is None where no gap is defined. A point that
+    fails on its domain or runs out of memory becomes a row with status
+    "error:<kind>" and the sweep moves on. Seeds are paired: rep r uses
+    seed + r at every grid value.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(
@@ -140,7 +141,7 @@ def run_sweep(
                     variant=variant,
                     normalize=normalize,
                 )
-            except DomainError as exc:
+            except (DomainError, MemoryError) as exc:
                 row["status"] = f"error:{type(exc).__name__}"
             else:
                 row["f1"] = result.match.f1

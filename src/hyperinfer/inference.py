@@ -71,12 +71,9 @@ class CandidateSet:
 
     def _real_column(self, name: str) -> np.ndarray:
         """The field ``name`` stored back as a float array: real numbers, one per row."""
-        values = np.asarray(getattr(self, name))
-        if values.dtype.type not in REAL:  # strings, booleans and objects are not coerced
-            raise DomainError(f"{name} must be real numbers, got {values.dtype}")
+        values = _reals(getattr(self, name), name)
         if values.shape != (len(self),):
             raise DomainError(f"{name} are not aligned with candidates")
-        values = values.astype(float, copy=False)
         object.__setattr__(self, name, values)
         return values
 
@@ -134,6 +131,14 @@ class CandidateSet:
         return dict(sorted(Counter(self.row_sizes.tolist()).items()))
 
 
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as a float array, if their dtype is in ``REAL``; a DomainError otherwise."""
+    values = np.asarray(values)
+    if values.dtype.type not in REAL:  # strings, booleans and objects are not coerced
+        raise DomainError(f"{name} must be real numbers, got {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def _repeats(rows: np.ndarray) -> np.ndarray:
     """Flags each row that equals an earlier row."""
     repeat = np.zeros(len(rows), dtype=bool)
@@ -151,6 +156,32 @@ def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
         if k > n:
             raise DomainError(f"hyperedge size {k} exceeds the node count {n}")
     return tuple(sorted(set(ks)))
+
+
+def _repeated_rows(x: np.ndarray, sq_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(copies, firsts): each row of ``x`` equal to an earlier row, and the first row it equals.
+
+    The matrix product may round a repeated row's distances differently from
+    its first copy's, so the search copies the first copy's column over each
+    repeat's, and equal rows tie exactly. Each row's squared norm is summed
+    alone, so equal rows have bit-equal norms. The rows are grouped by norm,
+    then split by 64 columns at a time, compared with ``==``, and a row left
+    alone in its group is dropped. With no shared norm no row is compared.
+    """
+    _, group, counts = np.unique(sq_norms, return_inverse=True, return_counts=True)
+    rows = np.flatnonzero(counts[group] > 1)
+    group = group[rows]
+    for c in range(0, x.shape[1], 64):
+        if not rows.size:
+            return rows, rows
+        block = np.column_stack((group, x[rows, c : c + 64]))  # group ids < n are exact floats
+        _, group, counts = np.unique(block, axis=0, return_inverse=True, return_counts=True)
+        keep = counts[group] > 1
+        rows, group = rows[keep], group[keep]
+    _, first, group = np.unique(group, return_index=True, return_inverse=True)
+    firsts = rows[first[group]]
+    repeat = firsts != rows
+    return rows[repeat], firsts[repeat]
 
 
 def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
@@ -179,17 +210,19 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     """One candidate per (size, anchor): the anchor and its k-1 nearest neighbours.
 
     Distances are squared Euclidean. Equidistant neighbours resolve to the
-    smaller node index, so generation is fully deterministic. Duplicate node
-    sets keep the first (size, anchor) pair that produced them, and the result
-    is ordered by size, then anchor.
+    smaller node index, so generation is fully deterministic; the copies of a
+    repeated feature row are exactly equidistant (``_repeated_rows``).
+    Duplicate node sets keep the first (size, anchor) pair that produced them,
+    and the result is ordered by size, then anchor.
 
     The features are validated once. The search runs over the near-equal
     ``row_chunks`` of about 2 MiB of distances each, which also bound the
     temporaries of the squared row norms. A chunk's distances to all n nodes
-    are computed into two buffers allocated once per search, and its
+    are computed into one buffer allocated once per search, and its
     max(sizes)-1 nearest neighbours kept before the next chunk is computed. It
-    never holds an n x n matrix, an n x d temporary or a full index array, and
-    sorts no full row. Every size takes a prefix of the one neighbour list.
+    never holds an n x n matrix or a full index array, copies at most 64
+    feature columns at a time, and sorts no full row. Every size takes a
+    prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -205,20 +238,22 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
             f"node features are too large for the neighbour search: the largest squared row "
             f"norm is {sq_norms.max():.3g}, so distances overflow; rescale them (e.g. --normalize)"
         )
-    r = ks[-1] - 1
-    neighbours = np.empty((n, r), dtype=np.intp)
-    dist, scratch = np.empty((2, chunks[0][1], n))
+    copies, firsts = _repeated_rows(x, sq_norms)
+    # Each anchor in column 0, then its max(sizes)-1 nearest neighbours.
+    neighbours = np.empty((n, ks[-1]), dtype=np.intp)
+    neighbours[:, 0] = np.arange(n)
+    dist = np.empty((chunks[0][1], n))
     # With n <= 512 the one chunk is the full product.
     for start, stop in chunks:
-        d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start], scratch[: stop - start])
-        neighbours[start:stop] = _nearest(d, start, r)
-    del dist, scratch, d  # the chunk buffers are freed before the pool is built
+        d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start])
+        d[:, copies] = d[:, firsts]
+        neighbours[start:stop, 1:] = _nearest(d, start, ks[-1] - 1)
+    del dist, d  # the chunk buffer is freed before the pool is built
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.
-    with_anchor = np.column_stack((np.arange(n), neighbours))
     blocks = np.full((len(ks), n, ks[-1]), -1, dtype=np.intp)
     for block, k in zip(blocks, ks):
-        block[:, :k] = np.sort(with_anchor[:, :k], axis=1)
+        block[:, :k] = np.sort(neighbours[:, :k], axis=1)
     nodes = blocks.reshape(-1, ks[-1])
     keep = np.flatnonzero(~_repeats(nodes))
     nodes, anchors = nodes[keep], keep % n
@@ -255,7 +290,7 @@ def infer_probabilities(scores) -> np.ndarray:
     over (0, 1], so each weight lands in (0, 1] and decreases as the score
     grows.
     """
-    s = np.asarray(scores, dtype=float)
+    s = _reals(scores, "scores")
     if s.ndim != 1:
         raise DomainError(f"scores must be a 1-d array, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
@@ -275,6 +310,31 @@ def _selection_order(cs: CandidateSet) -> np.ndarray:
     return np.lexsort((*cs.nodes.T[::-1], scores, -cs.probs))
 
 
+def _quotas(spec: SelectionSpec, sizes: tuple) -> dict:
+    """The spec's count per size (key None: any size), checked against the searched sizes.
+
+    This is the one check of a selection spec: its type, integer sizes and
+    counts, no negative count, and no positive count for a size the search
+    does not make. It needs no candidates, so ``infer_hypergraph`` runs it
+    before the search and ``select_edges`` runs it on the pool's sizes.
+    """
+    if isinstance(spec, TopM):
+        quotas = {None: spec.m}  # None: any size
+    elif isinstance(spec, PerSize):
+        quotas = dict(spec.counts)
+    else:
+        raise DomainError(f"unknown selection spec: {spec!r}")
+    if not WHOLE.issuperset(map(type, [*quotas.keys() - {None}, *quotas.values()])):
+        raise DomainError(f"selection sizes and counts must be integers, got {spec!r}")
+    for k, want in sorted(quotas.items()):
+        what = "candidates" if k is None else f"candidates of size {k}"
+        if want < 0:
+            raise DomainError(f"requested a negative number of {what}: {want}")
+        if want > 0 and k is not None and k not in sizes:
+            raise InfeasibleError(f"not enough {what}: requested {want}, have 0")
+    return quotas
+
+
 def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
     """Pick the highest-probability candidates, overall (TopM) or per size (PerSize).
 
@@ -285,23 +345,14 @@ def select_edges(cs: CandidateSet, spec: SelectionSpec) -> Hypergraph:
     """
     if cs.probs is None:
         raise DomainError("candidate probabilities are missing; infer them first")
-    if isinstance(spec, TopM):
-        quotas = {None: spec.m}  # None: any size
-    elif isinstance(spec, PerSize):
-        quotas = dict(spec.counts)
-    else:
-        raise DomainError(f"unknown selection spec: {spec!r}")
-    if not WHOLE.issuperset(map(type, [*quotas.keys() - {None}, *quotas.values()])):
-        raise DomainError(f"selection sizes and counts must be integers, got {spec!r}")
+    quotas = _quotas(spec, cs.sizes)
     order = _selection_order(cs)
     ranked_sizes = cs.row_sizes[order]
     picks = [order[:0]]
     for k, want in sorted(quotas.items()):
         have = order if k is None else order[ranked_sizes == k]
-        what = "candidates" if k is None else f"candidates of size {k}"
-        if want < 0:
-            raise DomainError(f"requested a negative number of {what}: {want}")
         if want > len(have):
+            what = "candidates" if k is None else f"candidates of size {k}"
             raise InfeasibleError(f"not enough {what}: requested {want}, have {len(have)}")
         picks.append(have[:want])
     chosen = np.concatenate(picks)
@@ -316,9 +367,13 @@ def infer_hypergraph(
 ) -> tuple[CandidateSet, Hypergraph]:
     """Run the full pipeline and return the weighted pool plus the selection.
 
-    The candidate pool comes back with scores and probabilities filled in so
-    callers can inspect what the selection was chosen from.
+    The selection spec is checked against ``sizes`` before the search, so a
+    bad spec fails fast. The candidate pool comes back with scores and
+    probabilities filled in so callers can inspect what the selection was
+    chosen from.
     """
+    sizes = tuple(sizes)
+    _quotas(spec, sizes)
     cs = generate_candidates(x_nodes, sizes)
     cs = score_candidates(cs, x_nodes, variant=variant)
     cs = replace(cs, probs=infer_probabilities(cs.scores))

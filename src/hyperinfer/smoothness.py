@@ -19,7 +19,9 @@ import numpy as np
 # as_features is unused here, but perfbench/spans.py wraps this module's binding of it.
 from .core import DomainError, as_features, whole  # noqa: F401
 
-VARIANT_KINDS = ("max", "mean", "min", "random")
+# How each kind reduces an edge's pair distances to one score; "random" picks one pair.
+_REDUCERS = {"max": np.max, "mean": np.mean, "min": np.min}
+VARIANT_KINDS = (*_REDUCERS, "random")
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,8 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     for col, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
         d = x[rows[:, i]] - x[rows[:, j]]
         pair_dists[:, col] = np.sum(d * d, axis=-1)
-    if variant.kind == "max":
-        return np.max(pair_dists, axis=1)
-    if variant.kind == "mean":
-        return np.mean(pair_dists, axis=1)
-    if variant.kind == "min":
-        return np.min(pair_dists, axis=1)
+    if variant.kind in _REDUCERS:
+        return _REDUCERS[variant.kind](pair_dists, axis=1)
     rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
     picks = np.array([rng.integers(pair_dists.shape[1]) for rng in rngs], dtype=np.intp)
     return pair_dists[np.arange(c), picks]
@@ -85,22 +83,22 @@ def row_chunks(n: int) -> list[tuple[int, int]]:
     return [(i * q + min(i, extra), (i + 1) * q + min(i + 1, extra)) for i in range(count)]
 
 
-def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray, scratch: np.ndarray):
+def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray):
     """Rows [start, start + len(out)) of the n x n squared-distance matrix, in ``out``.
 
-    The Gram trick, clipped at zero: (|a|^2 + |b|^2) - 2 a.b, where 2.0 * a.b
-    is exact. Callers pass validated input: a finite n x d float matrix ``x``,
-    its ``sq_norms = np.sum(x * x, axis=1)``, and two C-contiguous float64
-    arrays ``out`` and ``scratch`` of the same shape (rows, n) with
-    start + rows <= n; ``scratch`` is overwritten. A row's entry for its own
-    node is 0. The rows equal the full matrix's only up to rounding: BLAS may
-    sum a part of the product in another order than the symmetric full product.
+    The Gram trick, clipped at zero: (-2 a.b + |a|^2) + |b|^2, where -2.0 * a.b
+    is exact, summed in place. Callers pass validated input: a finite n x d
+    float matrix ``x``, its ``sq_norms = np.sum(x * x, axis=1)``, and a
+    C-contiguous float64 array ``out`` of shape (rows, n) with
+    start + rows <= n. A row's entry for its own node is 0. The rows equal the
+    full matrix's only up to rounding: BLAS may sum a part of the product in
+    another order than the symmetric full product.
     """
     stop = start + len(out)
     np.matmul(x[start:stop], x.T, out=out)
-    out *= 2.0
-    np.add(sq_norms[start:stop, None], sq_norms, out=scratch)
-    np.subtract(scratch, out, out=out)
+    out *= -2.0
+    out += sq_norms[start:stop, None]
+    out += sq_norms
     np.maximum(out, 0.0, out=out)
     rows = np.arange(len(out))
     out[rows, rows + start] = 0.0

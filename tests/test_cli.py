@@ -121,6 +121,26 @@ class TestInfer:
         assert err == "error: seed must be an integer in [0, 9223372036854775807], got -5\n"
         assert not (tmp_path / "pred.json").exists()
 
+    def test_a_count_for_an_unsearched_size_fails_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def search(*args):
+            raise AssertionError("the search ran before the spec was checked")
+
+        monkeypatch.setattr(hyperinfer.inference, "generate_candidates", search)
+        features = tmp_path / "x.csv"
+        write_features(features, np.random.default_rng(2).normal(size=(30, 2)))
+        code = _run(
+            "infer",
+            "--features", str(features),
+            "--sizes", "3",
+            "--per-size", "8=1",
+            "--out", str(tmp_path / "pred.json"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: not enough candidates of size 8: requested 1, have 0\n"
+
     def test_features_too_large_to_search_are_a_domain_failure(self, tmp_path):
         features = tmp_path / "x.csv"
         write_features(features, np.random.default_rng(3).normal(size=(40, 3)) + 1e155)
@@ -675,6 +695,24 @@ class TestSweep:
             "nodes,9223372036854775808,0,error:DomainError,,,,,"
         ]
         assert capsys.readouterr().err == ""
+
+    def test_point_out_of_memory_keeps_the_finished_points(self, tmp_path, monkeypatch):
+        # n = INTP_MAX passes the integer rule, then planting's list of n
+        # degrees fails its size check: MemoryError with nothing allocated.
+        # The child's address space is capped, so a change that allocates fails.
+        out = tmp_path / "sweep.csv"
+        proc = _run_module_limited(
+            monkeypatch,
+            "sweep", "--axis", "nodes", "--values", "40,9223372036854775807",
+            "--reps", "1", "--dim", "2", "--edges", "3=4", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out) as fh:
+            rows = [(r["value"], r["seed"], r["status"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            ("40", "0", "ok"), ("40", "summary", "ok"),
+            ("9223372036854775807", "0", "error:MemoryError"),
+        ]
 
     def test_unparseable_grid_value_exits_with_input_failure(self, tmp_path, capsys):
         code = _run(

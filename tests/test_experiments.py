@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hyperinfer import DomainError, SmoothnessVariant, run_protocol, run_sweep
+from hyperinfer import DomainError, SmoothnessVariant, experiments, run_protocol, run_sweep
 from hyperinfer.experiments import SWEEP_COLUMNS
 
 
@@ -72,6 +72,24 @@ class TestRunSweep:
         assert failed[0]["gap"] is None
         ok = [r for r in rows if r["value"] == 60 and r["seed"] != "summary"]
         assert ok[0]["status"] == "ok"
+
+    def test_out_of_memory_point_becomes_an_error_row(self, monkeypatch):
+        # The run at n=50 raises MemoryError; the points on either side still run.
+        run = experiments.run_protocol
+
+        def protocol(n, *args, **kwargs):
+            if n == 50:
+                raise MemoryError
+            return run(n, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_protocol", protocol)
+        rows = run_sweep("nodes", [40, 50, 60], 1, edge_spec={4: 4}, dim=16)
+        assert [(r["value"], r["seed"], r["status"]) for r in rows] == [
+            (40, 0, "ok"), (40, "summary", "ok"),
+            (50, 0, "error:MemoryError"),
+            (60, 0, "ok"), (60, "summary", "ok"),
+        ]
+        assert rows[2]["f1"] is None and rows[2]["gap"] is None
 
     def test_unknown_variant_value_is_an_error_row(self):
         rows = run_sweep("variant", ["median"], 1, n=40, edge_spec={4: 4}, dim=16)

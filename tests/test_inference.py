@@ -238,10 +238,14 @@ class TestGenerateCandidates:
         ]
 
 
-def _oracle_pool(x, sizes):
-    """The full-matrix search: every row of the n x n matrix stably argsorted."""
+def _oracle_pool(x, sizes, dists=None):
+    """The full-matrix search: every row of the n x n matrix stably argsorted.
+
+    The matrix is the kernel's unless ``dists`` is given.
+    """
     n = x.shape[0]
-    dists = pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, *np.empty((2, n, n)))
+    if dists is None:
+        dists = pairwise_sq_dists(x, np.sum(x * x, axis=1), 0, np.empty((n, n)))
     np.fill_diagonal(dists, np.inf)
     order = np.argsort(dists, axis=1, kind="stable")
     seen, out = set(), []
@@ -302,6 +306,34 @@ class TestBlockedSearch:
         cs = generate_candidates(x, sizes)
         assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, sizes)
 
+    @pytest.mark.parametrize("sizes, d", [([3], 64), ([3, 8], 64), ([3, 8], 130)])
+    def test_repeated_real_rows_tie_exactly(self, sizes, d):
+        # 25 real-valued rows, each repeated 4 times, shuffled. The product may
+        # round a copy's column differently by its position; the search must
+        # still rank the copies of a row as equidistant, as the oracle on
+        # direct differences does, where every copy's column is bit-equal.
+        # d=130 compares the rows in three blocks of columns.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(25, d)) * 3.7
+            x = base[rng.permutation(np.repeat(np.arange(25), 4))]
+            direct = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+            cs = generate_candidates(x, sizes)
+            got = [(c.nodes, c.anchor) for c in cs.candidates]
+            assert got == _oracle_pool(x, sizes, direct), seed
+
+    def test_repeated_rows_are_equal_rows_in_every_column_block(self):
+        # Integer values, so a permutation keeps the squared norm bit for bit:
+        # b shares a's norm and first 64 columns but is another row, -a shares
+        # its norm only, and -0.0 equals 0.0 under ==.
+        a = np.random.default_rng(4).integers(-5, 6, size=150).astype(float)
+        b = a.copy()
+        b[[100, 120]] = b[[120, 100]]
+        assert a[100] != a[120]
+        x = np.array([a, b, a, -a, b, np.zeros(150), -np.zeros(150), a])
+        copies, firsts = inference._repeated_rows(x, np.sum(x * x, axis=1))
+        assert (copies.tolist(), firsts.tolist()) == ([2, 4, 6, 7], [0, 1, 5, 0])
+
     def test_mixed_size_pools_match_the_recorded_output(self):
         # Digests of (anchor, nodes) for every candidate; every input spans
         # several row chunks. The tie-heavy pool was recorded with the
@@ -326,10 +358,11 @@ class TestBlockedSearch:
 
     @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4), (2000, 1000)])
     def test_memory_stays_within_a_few_chunks(self, n, d):
-        # Two chunk buffers, one chunk's partition indices and tie mask, plus
-        # O(n max size) for the pool. Nothing grows with a fixed block of rows
-        # (a 512-row block peaked at 18 MB at n=4000) or with n x d (squaring
-        # the whole matrix at once peaked at 15.3 MiB at n=2000, d=1000).
+        # One chunk buffer, one chunk's partition indices and tie mask, plus
+        # O(n max size) for the pool; a second, scratch buffer peaked above 3
+        # chunks. Nothing grows with a fixed block of rows (a 512-row block
+        # peaked at 18 MB at n=4000) or with n x d (squaring the whole matrix
+        # at once peaked at 15.3 MiB at n=2000, d=1000).
         x = np.random.default_rng(8).normal(size=(n, d))
         sizes = [3, 8]
         chunk = 8 * n * row_chunks(n)[0][1]
@@ -339,7 +372,7 @@ class TestBlockedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * chunk + 16 * n * max(sizes)
+        assert peak < 2.5 * chunk + 16 * n * max(sizes)
 
 
 class TestScoring:
@@ -406,6 +439,12 @@ class TestInferProbabilities:
     def test_applies_per_coordinate(self):
         scores = np.array([0.0, 1.0, 3.0, 9.0])
         assert np.allclose(infer_probabilities(scores), [1.0, 0.5, 0.25, 0.1])
+
+    @pytest.mark.parametrize("scores, dtype", [(["1.0", "3"], "<U3"), ([True, False], "bool")])
+    def test_strings_and_booleans_rejected(self, scores, dtype):
+        # The CandidateSet rule: scores must be real numbers, never coerced.
+        with pytest.raises(DomainError, match=f"scores must be real numbers, got {dtype}"):
+            infer_probabilities(scores)
 
 
 class TestSelectEdges:
@@ -512,6 +551,29 @@ class TestFullPipeline:
         cs, h = infer_hypergraph(x, [2], TopM(1))
         assert h.edges == ((0, 1),)
         assert h.weights == (1.0,)
+
+    @pytest.mark.parametrize(
+        "spec, error, message",
+        [
+            (TopM(-1), DomainError, "requested a negative number of candidates: -1"),
+            (PerSize({3: 2, 8: 5}), InfeasibleError,
+             "not enough candidates of size 8: requested 5, have 0"),
+            (PerSize({3: 1.5}), DomainError, "selection sizes and counts must be integers"),
+            ("top 3", DomainError, "unknown selection spec"),
+        ],
+    )
+    def test_selection_spec_is_checked_before_the_search(self, monkeypatch, spec, error, message):
+        def search(*args):
+            raise AssertionError("the search ran before the spec was checked")
+
+        monkeypatch.setattr(inference, "generate_candidates", search)
+        with pytest.raises(error, match=message):
+            infer_hypergraph(np.random.default_rng(0).normal(size=(20, 2)), [3], spec)
+
+    def test_a_zero_count_for_an_unsearched_size_is_allowed(self):
+        x = np.random.default_rng(0).normal(size=(20, 2))
+        _, h = infer_hypergraph(x, iter([3]), PerSize({3: 2, 8: 0}))
+        assert h.m == 2
 
     def test_positive_scaling_never_changes_the_selection(self):
         rng = np.random.default_rng(7)

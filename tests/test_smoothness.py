@@ -31,7 +31,7 @@ def _score(edge, x, variant=MAX):
 def _sq_dists(x, start, stop):
     """Rows [start, stop) from the row-chunk kernel, in fresh buffers."""
     sq = np.sum(x * x, axis=1)
-    return pairwise_sq_dists(x, sq, start, *np.empty((2, stop - start, len(x))))
+    return pairwise_sq_dists(x, sq, start, np.empty((stop - start, len(x))))
 
 
 def _full_sq_dists(x):
@@ -297,19 +297,19 @@ class TestPairwiseDistances:
     def test_blocks_equal_the_unchunked_formula_bit_for_bit(self):
         # Real-valued features, so rounding would show any change in the
         # order of operations. The ranges end mid-chunk, span several chunks
-        # or are one chunk each. Each is written into the leading rows of two
-        # reused buffers, as the search does, and the buffers start dirty.
+        # or are one chunk each. Each is written into the leading rows of one
+        # reused buffer, as the search does, and the buffer starts dirty.
         n = 1500
         x = np.random.default_rng(19).normal(size=(n, 7)) * 3.7
         sq = np.sum(x * x, axis=1)
         height = row_chunks(n)[0][1]
         assert 1 < height < n
-        dist, scratch = np.full((2, n, n), np.nan)
+        dist = np.full((n, n), np.nan)
         ranges = [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n), *row_chunks(n)]
         for a, b in ranges:
-            want = np.clip((sq[a:b, None] + sq[None, :]) - 2.0 * (x[a:b] @ x.T), 0.0, None)
+            want = np.clip((-2.0 * (x[a:b] @ x.T) + sq[a:b, None]) + sq[None, :], 0.0, None)
             want[np.arange(b - a), np.arange(a, b)] = 0.0
-            got = pairwise_sq_dists(x, sq, a, dist[: b - a], scratch[: b - a])
+            got = pairwise_sq_dists(x, sq, a, dist[: b - a])
             assert np.shares_memory(got, dist) and got.tobytes() == want.tobytes(), (a, b)
 
     @given(st.integers(2, 10**7))
