@@ -67,19 +67,21 @@ def run_protocol(
         seed=seed,
     )
     ds = make_dataset(cfg)
+    truth, achieved_overlap = ds.truth, ds.achieved_overlap
     x = normalize_features(ds.x_nodes) if normalize else ds.x_nodes
+    del ds  # the raw node and hyperedge features are freed before the search
     cs, pred = infer_hypergraph(
         x, sorted(cfg.edge_spec), PerSize(cfg.edge_spec), variant=variant
     )
     return ProtocolResult(
         config=cfg,
-        achieved_overlap=ds.achieved_overlap,
-        truth=ds.truth,
+        achieved_overlap=achieved_overlap,
+        truth=truth,
         selected=pred,
         candidates=cs,
-        match=f1_exact(pred, ds.truth),
-        hgmse=hgmse(pred, ds.truth),
-        separation=probability_separation(cs, ds.truth),
+        match=f1_exact(pred, truth),
+        hgmse=hgmse(pred, truth),
+        separation=probability_separation(cs, truth),
     )
 
 

@@ -28,7 +28,13 @@ from .core import (
     as_features,
     whole,
 )
-from .smoothness import SmoothnessVariant, pairwise_sq_dists, row_chunks, variant_edge_smoothness
+from .smoothness import (
+    BUFFER_BYTES,
+    SmoothnessVariant,
+    pairwise_sq_dists,
+    row_chunks,
+    variant_edge_smoothness,
+)
 
 # Unused here, but perfbench/spans.py wraps this attribute of this module, so it stays bound.
 from .core import build_hypergraph  # noqa: F401
@@ -187,7 +193,7 @@ def _repeated_rows(x: np.ndarray, sq_norms: np.ndarray) -> tuple[np.ndarray, np.
 def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
     """The r nearest other nodes of rows [start, start + len(d)), by (distance, index).
 
-    ``d`` holds one row chunk's distances to all nodes and is overwritten.
+    ``d`` holds a block of rows' distances to all nodes and is overwritten.
     ``np.argpartition`` keeps r entries per row without sorting the row. A row
     with more than r entries at or below its r-th distance has a tie at the
     boundary, so every such entry is sorted and the r first are kept: this is
@@ -216,13 +222,14 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     and the result is ordered by size, then anchor.
 
     The features are validated once. The search runs over the near-equal
-    ``row_chunks`` of about 2 MiB of distances each, which also bound the
-    temporaries of the squared row norms. A chunk's distances to all n nodes
-    are computed into one buffer allocated once per search, and its
-    max(sizes)-1 nearest neighbours kept before the next chunk is computed. It
-    never holds an n x n matrix or a full index array, copies at most 64
-    feature columns at a time, and sorts no full row. Every size takes a
-    prefix of the one neighbour list.
+    ``row_chunks`` of about ``BUFFER_BYTES`` of distances each, which also
+    bound the temporaries of the squared row norms. A chunk's distances to all
+    n nodes are computed into one buffer allocated once per search. Its rows
+    are ranked in sub-blocks whose partition indices take at most a quarter of
+    ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1 nearest
+    neighbours are kept before the next chunk is computed. It never holds an
+    n x n matrix, copies at most 64 feature columns at a time, and sorts no
+    full row. Every size takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -243,11 +250,14 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     neighbours = np.empty((n, ks[-1]), dtype=np.intp)
     neighbours[:, 0] = np.arange(n)
     dist = np.empty((chunks[0][1], n))
+    step = max(1, BUFFER_BYTES // (4 * 8 * n))  # rows per ranking sub-block
     # With n <= 512 the one chunk is the full product.
     for start, stop in chunks:
         d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start])
         d[:, copies] = d[:, firsts]
-        neighbours[start:stop, 1:] = _nearest(d, start, ks[-1] - 1)
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            neighbours[a:b, 1:] = _nearest(d[a - start : b - start], a, ks[-1] - 1)
     del dist, d  # the chunk buffer is freed before the pool is built
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.

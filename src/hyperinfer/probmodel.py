@@ -12,7 +12,8 @@ A = diag(H 1) + sigma^2 I is diagonal, so block elimination of the nodes
 leaves the m x m Schur complement S = diag(H^T 1) + sigma^2 I - H^T A^-1 H,
 one sparse product over H from ``core.incidence``, and the upper Cholesky
 factor of the precision is [[A^1/2, -A^-1/2 H], [0, chol(S)]]. Sampling
-costs O(m^3 + nnz(H) d) time and O(m^2 + (n+m) d) memory.
+costs O(m^3 + nnz(H) d) time. S is built and factored in one m x m buffer,
+so memory peaks near 8 m^2 + 8 (n+m) d bytes.
 """
 
 from __future__ import annotations
@@ -109,9 +110,16 @@ def sample_features(
     a = np.bincount(inc.indices, weights=inc.data, minlength=lap.n) + var
     scaled = inc.copy()
     scaled.data /= a[inc.indices]  # H A^-1: each entry divided by its node's a
-    schur = np.diag(np.asarray(inc.sum(axis=0)).ravel() + var) - (inc.T @ scaled).toarray()
+    # S is built and factored in one m x m buffer, which holds S^T: entry for
+    # entry, (H A^-1)^T H is H^T (H A^-1) transposed, the same products summed
+    # in the same node order. So buffer.T is S, F-contiguous, and LAPACK
+    # factors it in place. 0 - P keeps the zeros +0.0 and -P + c is c - P, so
+    # S has the bits of diag(c) - P.
+    schur_t = (scaled.T @ inc).toarray()
+    np.subtract(0.0, schur_t, out=schur_t)
+    schur_t.reshape(-1)[:: lap.m + 1] += np.asarray(inc.sum(axis=0)).ravel() + var
     try:
-        r = scipy.linalg.cholesky(schur, lower=False)
+        r = scipy.linalg.cholesky(schur_t.T, lower=False, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise DomainError(
             "precision matrix is not positive definite; the Laplacian is broken"
@@ -119,5 +127,11 @@ def sample_features(
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((lap.size, cfg.dim))
     x_edges = scipy.linalg.solve_triangular(r, z[lap.n :], lower=False)
-    x_nodes = z[: lap.n] / np.sqrt(a)[:, None] + (inc @ x_edges) / a[:, None]
+    del schur_t, r  # the m x m buffer is freed before x_nodes is built
+    # x_v = A^-1 H x_e + A^-1/2 z_v, built in place: the same quotients and sum.
+    x_nodes = inc @ x_edges
+    x_nodes /= a[:, None]
+    z_nodes = z[: lap.n]
+    z_nodes /= np.sqrt(a)[:, None]
+    x_nodes += z_nodes
     return x_nodes, x_edges

@@ -19,6 +19,10 @@ import numpy as np
 # as_features is unused here, but perfbench/spans.py wraps this module's binding of it.
 from .core import DomainError, as_features, whole  # noqa: F401
 
+# The one working-buffer budget, 2 MiB: the search's row chunks of distances,
+# its ranking sub-blocks and the scorer's row blocks are all sized from it.
+BUFFER_BYTES = 2 << 20
+
 # How each kind reduces an edge's pair distances to one score; "random" picks one pair.
 _REDUCERS = {"max": np.max, "mean": np.mean, "min": np.min}
 VARIANT_KINDS = (*_REDUCERS, "random")
@@ -52,14 +56,23 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
 
     Pair distances are squared L2, taken over the k(k-1)/2 node pairs of a row
     in ``np.triu_indices`` order; the variant reduces them to one score per row.
-    Callers pass validated input: a finite float matrix ``x`` and, in each row
-    of ``rows``, k >= 2 strictly increasing row indices of ``x``.
+    The rows are scored in blocks, so a block's gathered (rows, d) feature rows
+    take an eighth of ``BUFFER_BYTES`` each; every row's sum is its own, so the
+    scores do not depend on the block height. Callers pass validated input: a
+    finite float matrix ``x`` and, in each row of ``rows``, k >= 2 strictly
+    increasing row indices of ``x``.
     """
     c, k = rows.shape
-    pair_dists = np.empty((c, k * (k - 1) // 2))
-    for col, (i, j) in enumerate(zip(*np.triu_indices(k, 1))):
-        d = x[rows[:, i]] - x[rows[:, j]]
-        pair_dists[:, col] = np.sum(d * d, axis=-1)
+    pairs = list(zip(*np.triu_indices(k, 1)))
+    pair_dists = np.empty((c, len(pairs)))
+    step = max(1, BUFFER_BYTES // (64 * x.shape[1]))
+    for a in range(0, c, step):
+        block = rows[a : a + step]
+        for col, (i, j) in enumerate(pairs):
+            d = x[block[:, i]]
+            d -= x[block[:, j]]
+            d *= d
+            pair_dists[a : a + step, col] = np.sum(d, axis=-1)
     if variant.kind in _REDUCERS:
         return _REDUCERS[variant.kind](pair_dists, axis=1)
     rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
@@ -70,15 +83,15 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
 def row_chunks(n: int) -> list[tuple[int, int]]:
     """Near-equal (a, b) bounds that cover rows 0..n of the n x n distance matrix.
 
-    The target height is the rows that hold 2 MiB of float64 distances, but at
-    least 32: a chunk is computed and ranked while it is in cache, and its
-    product stays a matrix product (one row would be a gemv, whose rounding
-    differs). The rows go into the fewest chunks of at most that height, the
-    first n % count one row taller, as in ``np.array_split``. So every
-    n <= 512 is one chunk, n=3000 takes 35 chunks of 85-86 rows, and no chunk
-    has fewer than min(n, 31) rows.
+    The target height is the rows that hold ``BUFFER_BYTES`` of float64
+    distances, but at least 32: a chunk is computed and ranked while it is in
+    cache, and its product stays a matrix product (one row would be a gemv,
+    whose rounding differs). The rows go into the fewest chunks of at most
+    that height, the first n % count one row taller, as in
+    ``np.array_split``. So every n <= 512 is one chunk, n=3000 takes 35 chunks
+    of 85-86 rows, and no chunk has fewer than min(n, 31) rows.
     """
-    count = -(-n // max(32, (2 << 20) // (8 * n)))
+    count = -(-n // max(32, BUFFER_BYTES // (8 * n)))
     q, extra = divmod(n, count)
     return [(i * q + min(i, extra), (i + 1) * q + min(i + 1, extra)) for i in range(count)]
 

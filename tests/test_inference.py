@@ -358,9 +358,12 @@ class TestBlockedSearch:
 
     @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4), (2000, 1000)])
     def test_memory_stays_within_a_few_chunks(self, n, d):
-        # One chunk buffer, one chunk's partition indices and tie mask, plus
-        # O(n max size) for the pool; a second, scratch buffer peaked above 3
-        # chunks. Nothing grows with a fixed block of rows (a 512-row block
+        # One chunk buffer, one ranking sub-block's partition indices and tie
+        # mask, plus O(n max size) for the pool. The peaks were 1.45, 1.92 and
+        # 1.40 chunks for the three cases (at n=16000 pool building peaks);
+        # the bound leaves 24%, 10% and 19% over them. Ranking a whole chunk at
+        # once peaked at 2.30, 2.43 and 2.24 chunks, a second, scratch buffer
+        # above 3. Nothing grows with a fixed block of rows (a 512-row block
         # peaked at 18 MB at n=4000) or with n x d (squaring the whole matrix
         # at once peaked at 15.3 MiB at n=2000, d=1000).
         x = np.random.default_rng(8).normal(size=(n, d))
@@ -372,7 +375,7 @@ class TestBlockedSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * chunk + 16 * n * max(sizes)
+        assert peak < 1.5 * chunk + 20 * n * max(sizes)
 
 
 class TestScoring:
@@ -403,6 +406,23 @@ class TestScoring:
         by_min = score_candidates(cs, x, SmoothnessVariant("min"))
         assert np.all(by_min.scores <= by_max.scores)
         assert np.any(by_min.scores < by_max.scores)
+
+    def test_memory_stays_within_the_buffer_and_the_pair_table(self):
+        # Each size is scored in row blocks, so its gathers stay inside
+        # BUFFER_BYTES; the largest size's c x k(k-1)/2 pair table comes on
+        # top. The peak was 2.00 MB here; gathering the whole pool per pair
+        # held about 4 * 8 c d (48.6 MB).
+        n, d = 2000, 1000
+        x = np.random.default_rng(9).normal(size=(n, d))
+        cs = generate_candidates(x, [3, 8])
+        pair_table = 8 * np.count_nonzero(cs.row_sizes == 8) * 28
+        tracemalloc.start()
+        try:
+            score_candidates(cs, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smoothness.BUFFER_BYTES + pair_table
 
 
 class TestInferProbabilities:

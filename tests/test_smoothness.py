@@ -16,7 +16,12 @@ from hyperinfer import (
     generate_candidates,
     score_candidates,
 )
-from hyperinfer.smoothness import pairwise_sq_dists, row_chunks, variant_edge_smoothness
+from hyperinfer.smoothness import (
+    BUFFER_BYTES,
+    pairwise_sq_dists,
+    row_chunks,
+    variant_edge_smoothness,
+)
 from hyperinfer.theory import inference_objective, weighted_smoothness_ev
 
 TWO_POINTS = np.array([[1.0], [-1.0]])
@@ -336,6 +341,24 @@ class TestBlockScoring:
         cs = score_candidates(generate_candidates(x, sizes), x, variant)
         expected = [_per_edge_oracle(c.nodes, x, variant) for c in cs.candidates]
         assert cs.scores.tolist() == expected
+
+    def test_row_blocks_keep_every_score_bit_for_bit(self):
+        # d=1000 makes a block 32 rows, so 100 rows span four blocks, the last
+        # one short. Each pair is summed on its own as the oracle.
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(60, 1000))
+        rows = np.sort([rng.choice(60, size=5, replace=False) for _ in range(100)], axis=1)
+        assert len(rows) > 3 * (BUFFER_BYTES // (64 * x.shape[1]))
+        pairs = [[np.sum((x[a] - x[b]) ** 2) for a, b in itertools.combinations(r, 2)]
+                 for r in rows.tolist()]
+        for variant in ALL_VARIANTS:
+            if variant.kind == "random":
+                expected = [p[np.random.default_rng([variant.seed, *r]).integers(len(p))]
+                            for p, r in zip(pairs, rows.tolist())]
+            else:
+                expected = [getattr(np, variant.kind)(p) for p in pairs]
+            got = variant_edge_smoothness(rows, x, variant)
+            assert got.tobytes() == np.array(expected).tobytes(), variant.kind
 
     def test_random_scores_follow_their_rows(self):
         rng = np.random.default_rng(21)
