@@ -31,6 +31,7 @@ from .core import (
 from .smoothness import (
     BUFFER_BYTES,
     SmoothnessVariant,
+    direct_sq_dists,
     pairwise_sq_dists,
     row_chunks,
     variant_edge_smoothness,
@@ -146,11 +147,15 @@ def _reals(values, name: str) -> np.ndarray:
 
 
 def _repeats(rows: np.ndarray) -> np.ndarray:
-    """Flags each row that equals an earlier row."""
+    """Flags each row that equals an earlier row, comparing the sorted rows a column at a time."""
     repeat = np.zeros(len(rows), dtype=bool)
     if rows.size:
         order = np.lexsort(rows.T[::-1])  # stable, so equal rows keep their order
-        repeat[order[1:]] = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+        same = np.ones(len(rows) - 1, dtype=bool)
+        for col in rows.T:
+            col = col[order]
+            same &= col[1:] == col[:-1]
+        repeat[order[1:]] = same
     return repeat
 
 
@@ -164,72 +169,61 @@ def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(set(ks)))
 
 
-def _repeated_rows(x: np.ndarray, sq_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(copies, firsts): each row of ``x`` equal to an earlier row, and the first row it equals.
+def _nearest(gram: np.ndarray, x: np.ndarray, start: int, ks: tuple, bound: np.ndarray):
+    """The max(ks)-1 nearest other nodes of rows [start, start + len(gram)), by (distance, index).
 
-    The matrix product may round a repeated row's distances differently from
-    its first copy's, so the search copies the first copy's column over each
-    repeat's, and equal rows tie exactly. Each row's squared norm is summed
-    alone, so equal rows have bit-equal norms. The rows are grouped by norm,
-    then split by 64 columns at a time, compared with ``==``, and a row left
-    alone in its group is dropped. With no shared norm no row is compared.
+    The distance is the scorer's, ``direct_sq_dists``. ``gram`` holds the rows'
+    Gram distances (overwritten), ``bound`` each row's
+    B_i = 8 (d + 5) u (|x_i|^2 + max_j |x_j|^2), for d features and unit roundoff u.
+    With M = |x_i|^2 + |x_j|^2, a Gram entry errs by at most (2d + 4) u M (d u M
+    from the product, as much from the norms, 4 u M from two additions), and a
+    direct distance by (d + 2) u |x_i - x_j|^2 <= (2d + 4) u M. Both follow from
+    the dot-product bound (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), which holds in any summation order, so for any BLAS. So Gram
+    entries more than 8 (d + 2) u M apart keep their order; 5 in place of 2 covers
+    the second-order terms (for d < 10^7) and the rounding of B_i and of the
+    comparisons. The r = max(ks)-1 entries ``np.argpartition`` keeps, sorted by
+    (Gram distance, index), are in direct order unless the row has a near-tie:
+    more than r entries within B_i of its r-th, or a smaller size k's boundary
+    entries (positions k-2 and k-1) within B_i of each other. Only such a row is
+    reranked: its entries within B_i of its r-th, by (direct distance, index).
     """
-    _, group, counts = np.unique(sq_norms, return_inverse=True, return_counts=True)
-    rows = np.flatnonzero(counts[group] > 1)
-    group = group[rows]
-    for c in range(0, x.shape[1], 64):
-        if not rows.size:
-            return rows, rows
-        block = np.column_stack((group, x[rows, c : c + 64]))  # group ids < n are exact floats
-        _, group, counts = np.unique(block, axis=0, return_inverse=True, return_counts=True)
-        keep = counts[group] > 1
-        rows, group = rows[keep], group[keep]
-    _, first, group = np.unique(group, return_index=True, return_inverse=True)
-    firsts = rows[first[group]]
-    repeat = firsts != rows
-    return rows[repeat], firsts[repeat]
-
-
-def _nearest(d: np.ndarray, start: int, r: int) -> np.ndarray:
-    """The r nearest other nodes of rows [start, start + len(d)), by (distance, index).
-
-    ``d`` holds a block of rows' distances to all nodes and is overwritten.
-    ``np.argpartition`` keeps r entries per row without sorting the row. A row
-    with more than r entries at or below its r-th distance has a tie at the
-    boundary, so every such entry is sorted and the r first are kept: this is
-    the order a stable argsort of the full row gives. Each row is handled
-    alone, so the result does not depend on how the rows are chunked.
-    """
-    rows = np.arange(len(d))
-    d[rows, rows + start] = np.inf
-    part = np.argpartition(d, r - 1, axis=1)[:, :r]
-    dist = np.take_along_axis(d, part, axis=1)
-    nearest = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
-    kth = dist.max(axis=1, keepdims=True)
-    for i in np.flatnonzero(np.count_nonzero(d <= kth, axis=1) > r):
-        cols = np.flatnonzero(d[i] <= kth[i])
-        nearest[i] = cols[np.lexsort((cols, d[i, cols]))[:r]]
+    r = ks[-1] - 1
+    np.fill_diagonal(gram[:, start:], np.inf)  # each row's own node
+    part = np.argpartition(gram, r - 1, axis=1)[:, :r]
+    dist = np.take_along_axis(gram, part, axis=1)
+    order = np.lexsort((part, dist), axis=1)
+    nearest, dist = np.take_along_axis(part, order, axis=1), np.take_along_axis(dist, order, axis=1)
+    reach = dist[:, -1] + bound
+    near = np.count_nonzero(gram <= reach[:, None], axis=1) > r
+    for k in ks[:-1]:
+        near |= dist[:, k - 1] - dist[:, k - 2] <= bound
+    for i in np.flatnonzero(near):
+        cols = np.flatnonzero(gram[i] <= reach[i])
+        direct = direct_sq_dists(x, cols, np.full_like(cols, start + i))
+        nearest[i] = cols[np.argsort(direct, kind="stable")[:r]]
     return nearest
 
 
 def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     """One candidate per (size, anchor): the anchor and its k-1 nearest neighbours.
 
-    Distances are squared Euclidean. Equidistant neighbours resolve to the
-    smaller node index, so generation is fully deterministic; the copies of a
-    repeated feature row are exactly equidistant (``_repeated_rows``).
+    Distances are squared Euclidean, by direct differences (the scorer's).
+    Equidistant neighbours resolve to the smaller node index, so the pool is a
+    function of the features alone, whatever the chunk height or BLAS.
     Duplicate node sets keep the first (size, anchor) pair that produced them,
     and the result is ordered by size, then anchor.
 
     The features are validated once. The search runs over the near-equal
     ``row_chunks`` of about ``BUFFER_BYTES`` of distances each, which also
-    bound the temporaries of the squared row norms. A chunk's distances to all
-    n nodes are computed into one buffer allocated once per search. Its rows
-    are ranked in sub-blocks whose partition indices take at most a quarter of
-    ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1 nearest
-    neighbours are kept before the next chunk is computed. It never holds an
-    n x n matrix, copies at most 64 feature columns at a time, and sorts no
-    full row. Every size takes a prefix of the one neighbour list.
+    bound the temporaries of the squared row norms. A chunk's Gram distances
+    to all n nodes are computed into one buffer allocated once per search. Its
+    rows are ranked in sub-blocks whose partition indices take at most a
+    quarter of ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1
+    nearest neighbours, reranked by direct differences at near-ties
+    (``_nearest``), are kept before the next chunk is computed. It never holds
+    an n x n matrix and sorts no full row. Every size takes a prefix of the one
+    neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -245,7 +239,7 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
             f"node features are too large for the neighbour search: the largest squared row "
             f"norm is {sq_norms.max():.3g}, so distances overflow; rescale them (e.g. --normalize)"
         )
-    copies, firsts = _repeated_rows(x, sq_norms)
+    bounds = 4 * (x.shape[1] + 5) * np.finfo(float).eps * (sq_norms + sq_norms.max())  # B_i
     # Each anchor in column 0, then its max(sizes)-1 nearest neighbours.
     neighbours = np.empty((n, ks[-1]), dtype=np.intp)
     neighbours[:, 0] = np.arange(n)
@@ -254,10 +248,9 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     # With n <= 512 the one chunk is the full product.
     for start, stop in chunks:
         d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start])
-        d[:, copies] = d[:, firsts]
         for a in range(start, stop, step):
             b = min(a + step, stop)
-            neighbours[a:b, 1:] = _nearest(d[a - start : b - start], a, ks[-1] - 1)
+            neighbours[a:b, 1:] = _nearest(d[a - start : b - start], x, a, ks, bounds[a:b])
     del dist, d  # the chunk buffer is freed before the pool is built
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.

@@ -5,9 +5,8 @@ member nodes; it needs node features only. Ablation variants score the same
 pairs by their mean, their minimum, or one randomly drawn pair. Scores are
 computed for a whole block of equal-size edges at once.
 
-The kernels ``variant_edge_smoothness`` and ``pairwise_sq_dists`` trust their
-callers: the entry points in ``inference`` validate the features and the rows
-once per call and pass them on as they are.
+The kernels trust their callers: the entry points in ``inference`` validate
+the features and the rows once per call and pass them on as they are.
 """
 
 from __future__ import annotations
@@ -54,25 +53,20 @@ class SmoothnessVariant:
 def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     """Score each row of a (c, k) block of sorted node indices by the variant.
 
-    Pair distances are squared L2, taken over the k(k-1)/2 node pairs of a row
-    in ``np.triu_indices`` order; the variant reduces them to one score per row.
-    The rows are scored in blocks, so a block's gathered (rows, d) feature rows
-    take an eighth of ``BUFFER_BYTES`` each; every row's sum is its own, so the
-    scores do not depend on the block height. Callers pass validated input: a
-    finite float matrix ``x`` and, in each row of ``rows``, k >= 2 strictly
-    increasing row indices of ``x``.
+    Pair distances are squared L2 (``direct_sq_dists``), taken over the
+    k(k-1)/2 node pairs of a row in ``np.triu_indices`` order; the variant
+    reduces them to one score per row. Callers pass validated input: a finite
+    float matrix ``x`` and, in each row of ``rows``, k >= 2 strictly increasing
+    row indices of ``x``.
     """
     c, k = rows.shape
     pairs = list(zip(*np.triu_indices(k, 1)))
     pair_dists = np.empty((c, len(pairs)))
-    step = max(1, BUFFER_BYTES // (64 * x.shape[1]))
+    step = max(1, BUFFER_BYTES // (64 * x.shape[1]))  # one block of direct_sq_dists
     for a in range(0, c, step):
         block = rows[a : a + step]
         for col, (i, j) in enumerate(pairs):
-            d = x[block[:, i]]
-            d -= x[block[:, j]]
-            d *= d
-            pair_dists[a : a + step, col] = np.sum(d, axis=-1)
+            pair_dists[a : a + step, col] = direct_sq_dists(x, block[:, i], block[:, j])
     if variant.kind in _REDUCERS:
         return _REDUCERS[variant.kind](pair_dists, axis=1)
     rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
@@ -80,16 +74,32 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     return pair_dists[np.arange(c), picks]
 
 
+def direct_sq_dists(x, a, b) -> np.ndarray:
+    """``np.sum((x[a] - x[b]) ** 2, axis=-1)``: the one distance, of the score and the search.
+
+    ``a`` and ``b`` are index arrays of one length; the sign of x[a] - x[b] does
+    not change its square. Each gather of a block of rows takes at most an eighth
+    of ``BUFFER_BYTES``, and each row's sum is its own, whatever the block height.
+    """
+    out = np.empty(len(a))
+    step = max(1, BUFFER_BYTES // (64 * x.shape[1]))
+    for s in range(0, len(a), step):
+        d = x[a[s : s + step]]
+        d -= x[b[s : s + step]]
+        d *= d
+        out[s : s + step] = np.sum(d, axis=-1)
+    return out
+
+
 def row_chunks(n: int) -> list[tuple[int, int]]:
     """Near-equal (a, b) bounds that cover rows 0..n of the n x n distance matrix.
 
     The target height is the rows that hold ``BUFFER_BYTES`` of float64
     distances, but at least 32: a chunk is computed and ranked while it is in
-    cache, and its product stays a matrix product (one row would be a gemv,
-    whose rounding differs). The rows go into the fewest chunks of at most
-    that height, the first n % count one row taller, as in
-    ``np.array_split``. So every n <= 512 is one chunk, n=3000 takes 35 chunks
-    of 85-86 rows, and no chunk has fewer than min(n, 31) rows.
+    cache, and its product stays a matrix product, not a gemv. The rows go
+    into the fewest chunks of at most that height, the first n % count one row
+    taller, as in ``np.array_split``. So every n <= 512 is one chunk, n=3000
+    takes 35 chunks of 85-86 rows, and no chunk has fewer than min(n, 31) rows.
     """
     count = -(-n // max(32, BUFFER_BYTES // (8 * n)))
     q, extra = divmod(n, count)
@@ -99,20 +109,16 @@ def row_chunks(n: int) -> list[tuple[int, int]]:
 def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray):
     """Rows [start, start + len(out)) of the n x n squared-distance matrix, in ``out``.
 
-    The Gram trick, clipped at zero: (-2 a.b + |a|^2) + |b|^2, where -2.0 * a.b
-    is exact, summed in place. Callers pass validated input: a finite n x d
-    float matrix ``x``, its ``sq_norms = np.sum(x * x, axis=1)``, and a
-    C-contiguous float64 array ``out`` of shape (rows, n) with
-    start + rows <= n. A row's entry for its own node is 0. The rows equal the
-    full matrix's only up to rounding: BLAS may sum a part of the product in
-    another order than the symmetric full product.
+    The Gram trick: (-2 a.b + |a|^2) + |b|^2, where -2.0 * a.b is exact, summed
+    in place. Callers pass validated input: a finite n x d float matrix ``x``,
+    its ``sq_norms = np.sum(x * x, axis=1)``, and a C-contiguous float64 array
+    ``out`` of shape (rows, n) with start + rows <= n. The entries equal the
+    distances only up to rounding, which ``inference._nearest`` bounds: one may
+    be negative, an own entry nonzero, and BLAS may sum in any order.
     """
     stop = start + len(out)
     np.matmul(x[start:stop], x.T, out=out)
     out *= -2.0
     out += sq_norms[start:stop, None]
     out += sq_norms
-    np.maximum(out, 0.0, out=out)
-    rows = np.arange(len(out))
-    out[rows, rows + start] = 0.0
     return out

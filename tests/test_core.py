@@ -333,7 +333,9 @@ ROOT_API = {
 # Public names that live only in their modules, not at the package root.
 MODULE_ONLY = {
     "core": ["INTP_MAX", "REAL", "SelectionSpec", "WHOLE", "as_features", "real", "whole"],
-    "smoothness": ["VARIANT_KINDS", "pairwise_sq_dists", "variant_edge_smoothness"],
+    "smoothness": [
+        "VARIANT_KINDS", "direct_sq_dists", "pairwise_sq_dists", "variant_edge_smoothness"
+    ],
     "probmodel": ["IncidenceLaplacian"],
     "synth": ["OVERLAP_TOLERANCE", "SyntheticDataset", "generate_ground_truth", "overlap_rate"],
     "metrics": ["MatchReport", "SeparationReport"],

@@ -287,11 +287,11 @@ class TestPairwiseDistances:
                 )
 
     @given(feature_matrices())
-    def test_symmetric_nonnegative_zero_diagonal(self, x):
+    def test_symmetric(self, x):
+        # Rounding may leave an entry slightly negative or a diagonal entry
+        # nonzero; the search bounds it and reranks near-ties.
         d = _full_sq_dists(x)
         assert np.allclose(d, d.T)
-        assert np.all(d >= 0.0)
-        assert np.all(np.diagonal(d) == 0.0)
 
     def test_row_blocks_stack_to_the_full_matrix(self):
         # Integer features: every entry is exact, whatever the summation order.
@@ -312,8 +312,7 @@ class TestPairwiseDistances:
         dist = np.full((n, n), np.nan)
         ranges = [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n), *row_chunks(n)]
         for a, b in ranges:
-            want = np.clip((-2.0 * (x[a:b] @ x.T) + sq[a:b, None]) + sq[None, :], 0.0, None)
-            want[np.arange(b - a), np.arange(a, b)] = 0.0
+            want = (-2.0 * (x[a:b] @ x.T) + sq[a:b, None]) + sq[None, :]
             got = pairwise_sq_dists(x, sq, a, dist[: b - a])
             assert np.shares_memory(got, dist) and got.tobytes() == want.tobytes(), (a, b)
 
