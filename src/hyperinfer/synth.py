@@ -10,6 +10,7 @@ model over the planted structure.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
@@ -21,6 +22,9 @@ from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
 
+# Far above the rounding of the running sum in _plant or of _overlap's mean
+# (about m ulps), far below any overlap rate that matters.
+_CEILING_MARGIN = 1e-9
 _ATTEMPTS = 50
 _BISECT_STEPS = 25
 _DUPLICATE_RETRIES = 20
@@ -109,7 +113,7 @@ def _donor_pool(exclusive: np.ndarray, sizes: np.ndarray, shared: int) -> np.nda
 def _draw_shared(
     edges: list[tuple[int, ...]],
     donors: np.ndarray,
-    degree: list[int],
+    degree: array,
     shared: int,
     rng: np.random.Generator,
 ) -> list[int]:
@@ -122,7 +126,7 @@ def _draw_shared(
         donor = edges[donors[rng.integers(len(donors))]]
         exclusive = [v for v in donor if degree[v] == 1]
         return [exclusive[i] for i in rng.permutation(len(exclusive))[:shared].tolist()]
-    degrees = np.array(degree)
+    degrees = np.frombuffer(degree, dtype=np.int64)
     covered = np.flatnonzero(degrees)
     perm = rng.permutation(len(covered))
     ranked = perm[np.argsort(degrees[covered[perm]], kind="stable")]
@@ -169,7 +173,8 @@ def _plant(
     edge_sizes: list[int],
     lam: float,
     draws: list[_EdgeDraws],
-) -> tuple[list[tuple[int, ...]], float] | None:
+    ceiling: float = math.inf,
+) -> tuple[list[tuple[int, ...]] | None, float] | None:
     """Plant edges sequentially with shared fraction lam; None if stuck on duplicates.
 
     Returns the edges, as ascending node tuples, and their overlap_rate mean.
@@ -186,22 +191,41 @@ def _plant(
     size k costs O(k) outside the donor pool, which is O(edges planted). The
     donor pool is fixed across duplicate retries. An edge that shares no node
     has no shared draw and, with k fresh nodes, cannot repeat an earlier edge.
+
+    Degrees only grow, so a planted edge's count of nodes of degree >= 2 only
+    grows: the running sum of those counts over k (``share``) can only rise.
+    A node going from degree 1 to 2 adds 1/k to its owner's share; a new edge
+    adds its nodes already covered over k. An edge that is still to come
+    takes its ``wanted`` shared count of covered nodes once at least that
+    many are covered, so it adds at least wanted/k (``owed`` sums these).
+    Over the edge count, share plus owed is a lower bound on the final rate.
+    Once that bound is certain to exceed ``ceiling``, the plant stops and
+    returns ``(None, bound - _CEILING_MARGIN)``, a certain lower bound on the
+    rate of the full plant if that plant would not get stuck later.
     """
-    degree = [0] * n
+    m = len(edge_sizes)
+    degree = array("q", [0]) * n
     owner = [0] * n
     sizes = np.array(edge_sizes)
-    exclusive = np.zeros(len(edge_sizes), dtype=np.intp)
+    exclusive = np.zeros(m, dtype=np.intp)
     pool = list(range(n))
     live = n
     edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
-    for idx, (k, (u, rng, state)) in enumerate(zip(edge_sizes, draws)):
-        rng.bit_generator.state = state
+    wanted = []
+    for k, (u, _, _) in zip(edge_sizes, draws):
         target_shared = lam * k
         shared = math.floor(target_shared)
-        if u < target_shared - shared:
-            shared += 1
-        shared = max(min(shared, k, n - live), k - live)
+        wanted.append(shared + 1 if u < target_shared - shared else shared)
+    owed = [0.0] * m
+    for idx in range(m - 1, 0, -1):
+        owed[idx - 1] = owed[idx] + wanted[idx] / edge_sizes[idx]
+    most = max(wanted)
+    share = 0.0
+    limit = (ceiling + _CEILING_MARGIN) * m
+    for idx, (k, (_, rng, state)) in enumerate(zip(edge_sizes, draws)):
+        rng.bit_generator.state = state
+        shared = max(min(wanted[idx], k, n - live), k - live)
         fresh = _draw_fresh(pool, live, k - shared, rng)
         live -= k - shared
         if shared == 0:
@@ -224,10 +248,15 @@ def _plant(
                 first += 1
             elif seen == 1:
                 exclusive[owner[v]] -= 1
+                share += 1.0 / edge_sizes[owner[v]]
             degree[v] = seen + 1
         exclusive[idx] = first
+        share += (k - first) / k
+        bound = share + owed[idx] if n - live >= most else share
+        if bound > limit:
+            return None, bound / m - _CEILING_MARGIN
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(sizes.sum()))
-    return edges, _overlap(np.array(degree), flat, sizes)[1]
+    return edges, _overlap(np.frombuffer(degree, dtype=np.int64), flat, sizes)[1]
 
 
 def _distinct_edges(n: int, k: int, count: int) -> int:
@@ -253,9 +282,15 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     (``_edge_draws``, keyed on (seed, 1, attempt, edge index)); its trial
     plants all restart each edge's generator from the state saved then.
     Trial plants are measured as they are, without validation; only the plant
-    that is returned goes through build_hypergraph. Deterministic for a fixed
-    config. A size that does not fit in n nodes, or a count above the number of
-    distinct edges of its size, fails before any per-edge state is built.
+    that is returned goes through build_hypergraph. After the first trial, a
+    plant stops once its rate is certain to end above target +
+    OVERLAP_TOLERANCE, which lowers the bracket as a finished overshoot does;
+    only a search that fails replants those trials in full, for the exact
+    closest gap. When the edges fit in n nodes and the target is above the
+    tolerance, the zero-sharing trial is not planted: every node would be
+    fresh, so its rate is exactly 0. Deterministic for a fixed config. A size
+    that does not fit in n nodes, or a count above the number of distinct
+    edges of its size, fails before any per-edge state is built.
     """
     if max(cfg.edge_spec) > cfg.n:
         raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
@@ -268,17 +303,27 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
             )
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
     target = cfg.target_overlap
+    ceiling = target + OVERLAP_TOLERANCE
+    disjoint = sum(edge_sizes) <= cfg.n and target > OVERLAP_TOLERANCE
     best_gap = np.inf
+    stopped = []
     for attempt in range(_ATTEMPTS):
         draws = _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
         lo, hi = 0.0, 1.0
         for step in range(_BISECT_STEPS):
+            if step == 0 and disjoint:
+                best_gap = min(best_gap, target)
+                continue
             lam = 0.0 if step == 0 else (1.0 if step == 1 else 0.5 * (lo + hi))
-            plant = _plant(cfg.n, edge_sizes, lam, draws)
+            plant = _plant(cfg.n, edge_sizes, lam, draws, ceiling if step else math.inf)
             if plant is None:
                 hi = min(hi, lam) if lam > 0.0 else hi
                 continue
             edges, achieved = plant
+            if edges is None:
+                stopped.append((achieved - target, attempt, lam))
+                hi = lam
+                continue
             gap = abs(achieved - target)
             best_gap = min(best_gap, gap)
             if gap <= OVERLAP_TOLERANCE:
@@ -291,6 +336,18 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
                 lo = lam
             else:
                 hi = lam
+    # A stopped trial's gap is only bounded below: replant, in full, each one
+    # that could still be the closest, so the message names the exact gap.
+    # ``stopped`` is in attempt order, so each attempt is reseeded once.
+    redrawn = None
+    for gap_floor, attempt, lam in stopped:
+        if gap_floor >= best_gap:
+            continue
+        if redrawn is None or redrawn[0] != attempt:
+            redrawn = attempt, _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
+        plant = _plant(cfg.n, edge_sizes, lam, redrawn[1])
+        if plant is not None:
+            best_gap = min(best_gap, abs(plant[1] - target))
     raise InfeasibleError(
         f"could not reach overlap {target} within {OVERLAP_TOLERANCE} for n={cfg.n}, "
         f"edges {dict(cfg.edge_spec)}; closest gap over {_ATTEMPTS} attempts was {best_gap:.3f}"

@@ -697,7 +697,7 @@ class TestSweep:
         assert capsys.readouterr().err == ""
 
     def test_point_out_of_memory_keeps_the_finished_points(self, tmp_path, monkeypatch):
-        # n = INTP_MAX passes the integer rule, then planting's list of n
+        # n = INTP_MAX passes the integer rule, then planting's array of n
         # degrees fails its size check: MemoryError with nothing allocated.
         # The child's address space is capped, so a change that allocates fails.
         out = tmp_path / "sweep.csv"

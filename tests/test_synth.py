@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from conftest import hypergraphs
@@ -180,7 +181,9 @@ class TestGenerateGroundTruth:
     # lowest-degree fallback, duplicate retries and plants that get stuck, so
     # a change to any of them, or to the order of the RNG draws, shows here.
     # The mixed n=600 configs draw among many donors tied on burden; the n=3000
-    # config is the synth-mixed benchmark workload's.
+    # config is the synth-mixed benchmark workload's; its higher trials stop
+    # at the ceiling. The n=100 {8: 13} config's sizes exceed n, so its
+    # zero-sharing trial must share, and is accepted at target 0.05.
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
@@ -192,6 +195,9 @@ class TestGenerateGroundTruth:
             (600, {3: 60, 8: 60}, 0.5, 1, "eb8e2f95278385ed1b96312b7c5639e35428ef43cf22ee9bb1740019552ffe58"),
             (3000, {3: 300, 8: 300}, 0.3, 0, "6c431110e1c722be6c9183d8652eae8ceaa75872458e2809a3eec6bd3f56700c"),
             (1000, {4: 100, 8: 100}, 0.5, 0, "85ca498aa3010701d20d81319e6b4ad15b068a295838d5d085fa92d996b7125f"),
+            (3000, {3: 300, 8: 300}, 0.3, 1, "586168a1eb0d10a6175d0354d48e61c41023527b99a05b26751d682272054b3f"),
+            (100, {8: 13}, 0.05, 0, "b087e26b61f856dbbe94f260388d2cff5e74e836a002ba7a0e86661b16d91283"),
+            (200, {4: 30, 6: 20}, 0.3, 2, "43535d088f772107dd435bd88117c4f93f359b4e975f47e0da731ca09b9b869d"),
         ],
     )
     def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
@@ -238,6 +244,88 @@ class TestGenerateGroundTruth:
         attempts = {key[:-1] for key in seeds}
         assert seeds and len(seeds) <= 12 * len(attempts)
         assert len(set(seeds)) == len(seeds)
+
+    # Recorded planter output at the paper point over seeds 0-4: its
+    # zero-sharing trial is skipped and its higher trials stop at the ceiling.
+    @pytest.mark.parametrize(
+        "target, digest",
+        [
+            (0.1, "ede020add6c112c90d356d0aef07d169bfd5b71303f40cce4f6fcb3f8098b95c"),
+            (0.3, "e7d92bcd4fe5bb19ed76d3a0d74f416c87d778839f21c4a2acda10531b821907"),
+            (0.5, "b16cfa6e438e98031ed3298fd9d97b6a63de56e6604932dafd1d413926690891"),
+        ],
+    )
+    def test_paper_point_truth_matches_the_recorded_output(self, target, digest):
+        edges = [
+            generate_ground_truth(SynthConfig(100, {8: 12}, target, seed=seed)).edges
+            for seed in range(5)
+        ]
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+    def test_a_failed_search_with_stopped_trials_reports_the_exact_gap(self):
+        # The sizes exceed n, so the zero-sharing trial is planted; every
+        # attempt bisects to the end, and hundreds of trials stop at the
+        # ceiling, so the closest gap needs their full replants.
+        cfg = SynthConfig(n=60, edge_spec={3: 10, 5: 8}, target_overlap=0.05, seed=0)
+        with pytest.raises(InfeasibleError, match=r"closest gap over 50 attempts was 0\.217$"):
+            generate_ground_truth(cfg)
+
+    @pytest.mark.parametrize(
+        "n, spec, target, zero_planted",
+        [
+            (100, {8: 12}, 0.3, False),
+            (100, {8: 12}, 0.05, True),
+            (100, {8: 12}, 0.0, True),
+            (100, {8: 13}, 0.3, True),
+        ],
+    )
+    def test_the_zero_sharing_trial_is_planted_only_when_it_can_share(
+        self, monkeypatch, n, spec, target, zero_planted
+    ):
+        # With every edge fresh (sizes summing to at most n) the lam=0 plant has
+        # rate exactly 0; above the tolerance it cannot be accepted.
+        lams = []
+        plant = synth._plant
+
+        def recording(n, sizes, lam, *args):
+            lams.append(lam)
+            return plant(n, sizes, lam, *args)
+
+        monkeypatch.setattr(synth, "_plant", recording)
+        generate_ground_truth(SynthConfig(n, spec, target, seed=0))
+        assert (0.0 in lams) == zero_planted
+
+    def test_stopped_trials_draw_fewer_fresh_nodes(self, monkeypatch):
+        # A count of work, not a timing: 240 _draw_fresh calls before trials
+        # stopped at the ceiling and the zero-sharing trial was skipped, 154 now.
+        calls = []
+        draw_fresh = synth._draw_fresh
+
+        def counting(*args):
+            calls.append(args)
+            return draw_fresh(*args)
+
+        monkeypatch.setattr(synth, "_draw_fresh", counting)
+        generate_ground_truth(SynthConfig(300, {3: 30, 8: 30}, 0.3, seed=1))
+        assert len(calls) < 240
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(8, 40),
+        st.lists(st.integers(2, 6), min_size=1, max_size=14),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_ceiling_only_stops_plants_that_end_above_it(self, n, sizes, lam, ceiling, seed):
+        sizes = sorted(sizes)
+        draws = _edge_draws((seed, 1, 0), len(sizes))
+        full = _plant(n, sizes, lam, draws)
+        cut = _plant(n, sizes, lam, draws, ceiling)
+        if cut is None or cut[0] is not None:
+            assert cut == full
+        else:
+            assert full is None or full[1] > ceiling and full[1] >= cut[1]
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.6])
     def test_a_trial_plant_measures_its_own_overlap_rate(self, lam):
