@@ -173,29 +173,34 @@ def _nearest(gram: np.ndarray, x: np.ndarray, start: int, ks: tuple, bound: np.n
     """The max(ks)-1 nearest other nodes of rows [start, start + len(gram)), by (distance, index).
 
     The distance is the scorer's, ``direct_sq_dists``. ``gram`` holds the rows'
-    Gram distances (overwritten), ``bound`` each row's
-    B_i = 8 (d + 5) u (|x_i|^2 + max_j |x_j|^2), for d features and unit roundoff u.
-    With M = |x_i|^2 + |x_j|^2, a Gram entry errs by at most (2d + 4) u M (d u M
-    from the product, as much from the norms, 4 u M from two additions), and a
-    direct distance by (d + 2) u |x_i - x_j|^2 <= (2d + 4) u M. Both follow from
-    the dot-product bound (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1), which holds in any summation order, so for any BLAS. So Gram
-    entries more than 8 (d + 2) u M apart keep their order; 5 in place of 2 covers
-    the second-order terms (for d < 10^7) and the rounding of B_i and of the
-    comparisons. The r = max(ks)-1 entries ``np.argpartition`` keeps, sorted by
-    (Gram distance, index), are in direct order unless the row has a near-tie:
-    more than r entries within B_i of its r-th, or a smaller size k's boundary
-    entries (positions k-2 and k-1) within B_i of each other. Only such a row is
-    reranked: its entries within B_i of its r-th, by (direct distance, index).
+    Gram keys |x_j|^2 - 2 x_i.x_j (overwritten), which rank each row as its
+    distances do, and ``bound`` each row's B_i = 8 (d + 5) u (|x_i|^2 + max_j |x_j|^2),
+    for d features and unit roundoff u. With M = |x_i|^2 + |x_j|^2, a key errs by
+    at most (2d + 2) u M (d u M from the product, as much from |x_j|^2, 2 u M from
+    one addition), and a direct distance by (d + 2) u |x_i - x_j|^2 <= (2d + 4) u M,
+    by the dot-product bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), which holds in any summation order, so for any BLAS.
+    So keys of a row more than 8 (d + 2) u M apart keep their order; 5 in place of
+    2 covers the second-order terms (for d < 10^7) and the rounding of B_i and of
+    the comparisons. With r = max(ks)-1, the r + 1 smallest keys of each row, by
+    ``np.argpartition`` in sub-blocks of rows whose indices take at most a quarter
+    of ``BUFFER_BYTES``, are sorted by (key, index). The first r are in direct
+    order unless the row has a near-tie: its (r+1)-th key within B_i of its r-th,
+    or a smaller size k's boundary keys (positions k-2 and k-1) within B_i of each
+    other. Only such a row is reranked: its entries within B_i of its r-th key, by
+    (direct distance, index). If max(ks) = n, the (r+1)-th key is the row's own inf.
     """
     r = ks[-1] - 1
     np.fill_diagonal(gram[:, start:], np.inf)  # each row's own node
-    part = np.argpartition(gram, r - 1, axis=1)[:, :r]
+    part = np.empty((len(gram), r + 1), dtype=np.intp)
+    step = max(1, BUFFER_BYTES // (4 * 8 * gram.shape[1]))  # rows per ranking sub-block
+    for a in range(0, len(gram), step):
+        part[a : a + step] = np.argpartition(gram[a : a + step], r, axis=1)[:, : r + 1]
     dist = np.take_along_axis(gram, part, axis=1)
     order = np.lexsort((part, dist), axis=1)
-    nearest, dist = np.take_along_axis(part, order, axis=1), np.take_along_axis(dist, order, axis=1)
-    reach = dist[:, -1] + bound
-    near = np.count_nonzero(gram <= reach[:, None], axis=1) > r
+    part, dist = np.take_along_axis(part, order, axis=1), np.take_along_axis(dist, order, axis=1)
+    nearest, reach = part[:, :r], dist[:, r - 1] + bound
+    near = dist[:, r] <= reach
     for k in ks[:-1]:
         near |= dist[:, k - 1] - dist[:, k - 2] <= bound
     for i in np.flatnonzero(near):
@@ -216,14 +221,13 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
 
     The features are validated once. The search runs over the near-equal
     ``row_chunks`` of about ``BUFFER_BYTES`` of distances each, which also
-    bound the temporaries of the squared row norms. A chunk's Gram distances
-    to all n nodes are computed into one buffer allocated once per search. Its
-    rows are ranked in sub-blocks whose partition indices take at most a
-    quarter of ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1
-    nearest neighbours, reranked by direct differences at near-ties
-    (``_nearest``), are kept before the next chunk is computed. It never holds
-    an n x n matrix and sorts no full row. Every size takes a prefix of the one
-    neighbour list.
+    bound the temporaries of the squared row norms. A chunk's Gram keys to all
+    n nodes are computed into one buffer allocated once per search. Its rows
+    are partitioned in sub-blocks whose indices take at most a quarter of
+    ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1 nearest
+    neighbours, reranked by direct differences at near-ties (``_nearest``), are
+    kept before the next chunk is computed. It never holds an n x n matrix and
+    sorts no full row. Every size takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
     float are rejected: below that bound every distance and score is finite.
@@ -244,13 +248,10 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
     neighbours = np.empty((n, ks[-1]), dtype=np.intp)
     neighbours[:, 0] = np.arange(n)
     dist = np.empty((chunks[0][1], n))
-    step = max(1, BUFFER_BYTES // (4 * 8 * n))  # rows per ranking sub-block
     # With n <= 512 the one chunk is the full product.
     for start, stop in chunks:
         d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start])
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            neighbours[a:b, 1:] = _nearest(d[a - start : b - start], x, a, ks, bounds[a:b])
+        neighbours[start:stop, 1:] = _nearest(d, x, start, ks, bounds[start:stop])
     del dist, d  # the chunk buffer is freed before the pool is built
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.

@@ -107,18 +107,18 @@ def row_chunks(n: int) -> list[tuple[int, int]]:
 
 
 def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray):
-    """Rows [start, start + len(out)) of the n x n squared-distance matrix, in ``out``.
+    """Gram keys |x_j|^2 - 2 x_i.x_j of rows i in [start, start + len(out)), in ``out``.
 
-    The Gram trick: (-2 a.b + |a|^2) + |b|^2, where -2.0 * a.b is exact, summed
-    in place. Callers pass validated input: a finite n x d float matrix ``x``,
-    its ``sq_norms = np.sum(x * x, axis=1)``, and a C-contiguous float64 array
-    ``out`` of shape (rows, n) with start + rows <= n. The entries equal the
-    distances only up to rounding, which ``inference._nearest`` bounds: one may
-    be negative, an own entry nonzero, and BLAS may sum in any order.
+    Row i's keys are its squared distances less |x_i|^2, so they rank its nodes
+    alike; the name stays because ``perfbench/spans.py`` wraps it. Callers pass
+    validated input: a finite n x d float matrix ``x``, its ``sq_norms =
+    np.sum(x * x, axis=1)``, and a C-contiguous float64 array ``out`` of shape
+    (rows, n) with start + rows <= n. -2.0 * a.b is exact, and scaled after the
+    product so that x @ x.T keeps NumPy's symmetric path. BLAS may sum in any
+    order; ``inference._nearest`` bounds the rounding.
     """
     stop = start + len(out)
     np.matmul(x[start:stop], x.T, out=out)
     out *= -2.0
-    out += sq_norms[start:stop, None]
     out += sq_norms
     return out

@@ -30,7 +30,7 @@ from hyperinfer import (
 )
 from hyperinfer import inference, smoothness
 from hyperinfer.inference import _selection_order
-from hyperinfer.smoothness import pairwise_sq_dists, row_chunks
+from hyperinfer.smoothness import direct_sq_dists, pairwise_sq_dists, row_chunks
 from hyperinfer.theory import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -279,7 +279,8 @@ def _pool_digest(cs):
 # n at the edges of smoothness.row_chunks (pinned below): 2 and 511 are one
 # chunk, 512 the largest one-chunk n, 513 two chunks whose last is the
 # shortest, 1025 five equal chunks, 778 three chunks whose last is the
-# shortest. Sizes {2}, {3, 8} and k = n.
+# shortest. Sizes {2}, {3, 8} and k = n, then k = n - 1, where the (k-1)-th
+# nearest is the last node but one and the entry past it a real node.
 SEARCH_CASES = list(
     dict.fromkeys(
         (n, sizes)
@@ -287,7 +288,7 @@ SEARCH_CASES = list(
         for sizes in ((2,), (3, 8), (n,))
         if max(sizes) <= n
     )
-)
+) + [(n, (n - 1,)) for n in (511, 512, 513, 1025, 778)]
 
 
 class TestBlockedSearch:
@@ -306,6 +307,26 @@ class TestBlockedSearch:
         x = _tie_heavy(n)
         cs = generate_candidates(x, sizes)
         assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, sizes)
+
+    def test_near_ties_are_pinned_on_exact_integer_features(self, monkeypatch):
+        # Every key of integer features is exact, so which rows have a near-tie
+        # (more than r keys within B_i of the r-th, or a boundary tie of size 3)
+        # is a property of the features alone. Each reranked row calls
+        # direct_sq_dists once; the set of 590 rows was recorded with a count
+        # of the keys within B_i, so the (r+1)-th key must certify the same rows.
+        x = np.random.default_rng(16).integers(0, 4, size=(778, 16)).astype(float)
+        reranked = []
+
+        def spy(x, a, b):
+            reranked.append(int(b[0]))
+            return direct_sq_dists(x, a, b)
+
+        monkeypatch.setattr(inference, "direct_sq_dists", spy)
+        cs = generate_candidates(x, (3, 8))
+        rows = ",".join(map(str, sorted(reranked)))
+        digest = hashlib.sha256(rows.encode()).hexdigest()[:16]
+        assert (len(reranked), len(set(reranked)), digest) == (590, 590, "b3d2d63f4d6aa13e")
+        assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, (3, 8))
 
     @pytest.mark.parametrize("sizes, d", [([3], 64), ([3, 8], 64), ([3, 8], 130)])
     def test_repeated_real_rows_tie_exactly(self, sizes, d):

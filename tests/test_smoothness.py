@@ -34,9 +34,9 @@ def _score(edge, x, variant=MAX):
 
 
 def _sq_dists(x, start, stop):
-    """Rows [start, stop) from the row-chunk kernel, in fresh buffers."""
+    """Rows [start, stop) from the row-chunk kernel, in fresh buffers, plus each row's |x_i|^2."""
     sq = np.sum(x * x, axis=1)
-    return pairwise_sq_dists(x, sq, start, np.empty((stop - start, len(x))))
+    return pairwise_sq_dists(x, sq, start, np.empty((stop - start, len(x)))) + sq[start:stop, None]
 
 
 def _full_sq_dists(x):
@@ -312,7 +312,7 @@ class TestPairwiseDistances:
         dist = np.full((n, n), np.nan)
         ranges = [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n), *row_chunks(n)]
         for a, b in ranges:
-            want = (-2.0 * (x[a:b] @ x.T) + sq[a:b, None]) + sq[None, :]
+            want = -2.0 * (x[a:b] @ x.T) + sq[None, :]
             got = pairwise_sq_dists(x, sq, a, dist[: b - a])
             assert np.shares_memory(got, dist) and got.tobytes() == want.tobytes(), (a, b)
 
