@@ -96,8 +96,10 @@ def sample_features(
     from block elimination of the diagonal node block (see the module
     docstring): x_e = chol(S)^-1 z_e and x_v = A^-1/2 z_v + A^-1 H x_e. That
     is the same R and the same z as a dense factorisation, at O(m^3 +
-    nnz(H) dim) cost. Deterministic for a fixed seed. Returns (node rows,
-    hyperedge rows). A matrix whose bytes np.intp cannot count is refused first.
+    nnz(H) dim) cost. Deterministic for a fixed seed and BLAS thread count:
+    LAPACK's blocked factor of S can round differently on another thread count
+    once m is in the hundreds. Returns (node rows, hyperedge rows). A matrix
+    whose bytes np.intp cannot count is refused first.
     """
     if 8 * lap.size * cfg.dim > INTP_MAX:
         raise DomainError(

@@ -54,24 +54,50 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     """Score each row of a (c, k) block of sorted node indices by the variant.
 
     Pair distances are squared L2 (``direct_sq_dists``), taken over the
-    k(k-1)/2 node pairs of a row in ``np.triu_indices`` order; the variant
-    reduces them to one score per row. Callers pass validated input: a finite
-    float matrix ``x`` and, in each row of ``rows``, k >= 2 strictly increasing
-    row indices of ``x``.
+    k(k-1)/2 node pairs (i, j), i < j, of a row in ``np.triu_indices`` order;
+    the variant reduces them to one score per row. Rows of a block share many
+    pairs, so each distinct pair is summed once: the pairs are coded as
+    i * n + j and sorted, the distinct codes are scored, and each distance is
+    copied back to every row that holds its pair. A pair's sum is its own, so
+    every score has the bits it would have pair by pair. Callers pass
+    validated input: a finite float matrix ``x`` and, in each row of ``rows``,
+    k >= 2 strictly increasing row indices of ``x``.
     """
     c, k = rows.shape
-    pairs = list(zip(*np.triu_indices(k, 1)))
-    pair_dists = np.empty((c, len(pairs)))
+    distinct, inverse = _distinct_pairs(rows, x.shape[0])
+    dists = np.empty(len(distinct))
     step = max(1, BUFFER_BYTES // (64 * x.shape[1]))  # one block of direct_sq_dists
-    for a in range(0, c, step):
-        block = rows[a : a + step]
-        for col, (i, j) in enumerate(pairs):
-            pair_dists[a : a + step, col] = direct_sq_dists(x, block[:, i], block[:, j])
+    for a in range(0, len(distinct), step):
+        dists[a : a + step] = direct_sq_dists(x, *np.divmod(distinct[a : a + step], x.shape[0]))
+    pair_dists = dists[inverse].reshape(c, k * (k - 1) // 2)
     if variant.kind in _REDUCERS:
         return _REDUCERS[variant.kind](pair_dists, axis=1)
     rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
     picks = np.array([rng.integers(pair_dists.shape[1]) for rng in rngs], dtype=np.intp)
     return pair_dists[np.arange(c), picks]
+
+
+def _distinct_pairs(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' distinct node-pair codes i * n + j, ascending, and each pair's index among them.
+
+    Pairs are taken in ``np.triu_indices`` order, so i < j; ``inverse`` is
+    flat over the (c, k(k-1)/2) table of pairs. At most three int64 tables of
+    that size are held at once: the sort order, the sorted codes (turned into
+    distinct-pair indices in place) and ``inverse``.
+    """
+    first, second = np.triu_indices(rows.shape[1], 1)
+    codes = rows[:, first] * np.int64(n)
+    codes += rows[:, second]
+    order = np.argsort(codes, axis=None)
+    codes = codes.ravel()[order]
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    distinct = codes[new]
+    np.cumsum(new, out=codes)
+    codes -= 1
+    inverse = np.empty_like(codes)
+    inverse[order] = codes
+    return distinct, inverse
 
 
 def direct_sq_dists(x, a, b) -> np.ndarray:

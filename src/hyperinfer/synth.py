@@ -22,9 +22,10 @@ from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
 
-# Far above the rounding of the running sum in _plant or of _overlap's mean
-# (about m ulps), far below any overlap rate that matters.
-_CEILING_MARGIN = 1e-9
+# Far above the rounding of a running sum of m shares or of _overlap's mean
+# (about m ulps), far below any overlap rate that matters. It pads every
+# bound on a rate: _plant's ceiling stop and _trial_counts' low and high.
+_RATE_MARGIN = 1e-9
 _ATTEMPTS = 50
 _BISECT_STEPS = 25
 _DUPLICATE_RETRIES = 20
@@ -168,6 +169,51 @@ def _edge_draws(seed_key: tuple[int, ...], count: int) -> list[_EdgeDraws]:
     return draws
 
 
+def _wanted(lam: float, k: int, u: float) -> int:
+    """The shared count an edge of size k asks for: lam * k, rounded up when u < its fraction."""
+    target_shared = lam * k
+    shared = math.floor(target_shared)
+    return shared + 1 if u < target_shared - shared else shared
+
+
+def _shared(wanted: int, k: int, n: int, live: int) -> int:
+    """How many covered nodes an edge of size k takes, with live nodes still uncovered.
+
+    Its wanted count, as far as the n - live covered nodes allow, and at least
+    the k - live that the uncovered ones cannot fill.
+    """
+    return max(min(wanted, k, n - live), k - live)
+
+
+def _trial_counts(
+    n: int, edge_sizes: list[int], lam: float, draws: list[_EdgeDraws]
+) -> tuple[float, float, bool]:
+    """Bounds low <= high on the rate of the full plant at lam, and whether it can get stuck.
+
+    Each edge's shared count in ``_plant`` depends on the uncovered count
+    alone, so the counts follow without any node draw. A shared node is of
+    degree 1 whenever one is left: a donor gives its exclusive nodes, and the
+    fallback takes the lowest degrees first. So edge j turns hits_j =
+    min(shared_j, single_j) nodes from degree 1 to 2, where single counts the
+    degree-1 nodes. Over the edges, m * rate is the sum of shared_j / k_j
+    plus 1 / k_owner per hit, and k_owner lies between the smallest and the
+    largest size; with one size, low == high. An edge with a fresh node cannot
+    repeat an earlier edge, so only an edge that shares all its k nodes can
+    get stuck. The bounds are the exact sums, not padded by ``_RATE_MARGIN``.
+    """
+    live, single, hits, own, stick = n, 0, 0, 0.0, False
+    for k, (u, _, _) in zip(edge_sizes, draws):
+        shared = _shared(_wanted(lam, k, u), k, n, live)
+        hit = min(shared, single)
+        hits += hit
+        single += k - shared - hit
+        live -= k - shared
+        own += shared / k
+        stick = stick or shared == k
+    m = len(edge_sizes)
+    return (own + hits / max(edge_sizes)) / m, (own + hits / min(edge_sizes)) / m, stick
+
+
 def _plant(
     n: int,
     edge_sizes: list[int],
@@ -200,7 +246,7 @@ def _plant(
     many are covered, so it adds at least wanted/k (``owed`` sums these).
     Over the edge count, share plus owed is a lower bound on the final rate.
     Once that bound is certain to exceed ``ceiling``, the plant stops and
-    returns ``(None, bound - _CEILING_MARGIN)``, a certain lower bound on the
+    returns ``(None, bound / m - _RATE_MARGIN)``, a certain lower bound on the
     rate of the full plant if that plant would not get stuck later.
     """
     m = len(edge_sizes)
@@ -212,20 +258,16 @@ def _plant(
     live = n
     edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
-    wanted = []
-    for k, (u, _, _) in zip(edge_sizes, draws):
-        target_shared = lam * k
-        shared = math.floor(target_shared)
-        wanted.append(shared + 1 if u < target_shared - shared else shared)
+    wanted = [_wanted(lam, k, u) for k, (u, _, _) in zip(edge_sizes, draws)]
     owed = [0.0] * m
     for idx in range(m - 1, 0, -1):
         owed[idx - 1] = owed[idx] + wanted[idx] / edge_sizes[idx]
     most = max(wanted)
     share = 0.0
-    limit = (ceiling + _CEILING_MARGIN) * m
+    limit = (ceiling + _RATE_MARGIN) * m
     for idx, (k, (_, rng, state)) in enumerate(zip(edge_sizes, draws)):
         rng.bit_generator.state = state
-        shared = max(min(wanted[idx], k, n - live), k - live)
+        shared = _shared(wanted[idx], k, n, live)
         fresh = _draw_fresh(pool, live, k - shared, rng)
         live -= k - shared
         if shared == 0:
@@ -254,7 +296,7 @@ def _plant(
         share += (k - first) / k
         bound = share + owed[idx] if n - live >= most else share
         if bound > limit:
-            return None, bound / m - _CEILING_MARGIN
+            return None, bound / m - _RATE_MARGIN
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(sizes.sum()))
     return edges, _overlap(np.frombuffer(degree, dtype=np.int64), flat, sizes)[1]
 
@@ -282,15 +324,20 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     (``_edge_draws``, keyed on (seed, 1, attempt, edge index)); its trial
     plants all restart each edge's generator from the state saved then.
     Trial plants are measured as they are, without validation; only the plant
-    that is returned goes through build_hypergraph. After the first trial, a
-    plant stops once its rate is certain to end above target +
-    OVERLAP_TOLERANCE, which lowers the bracket as a finished overshoot does;
-    only a search that fails replants those trials in full, for the exact
-    closest gap. When the edges fit in n nodes and the target is above the
-    tolerance, the zero-sharing trial is not planted: every node would be
-    fresh, so its rate is exactly 0. Deterministic for a fixed config. A size
-    that does not fit in n nodes, or a count above the number of distinct
-    edges of its size, fails before any per-edge state is built.
+    that is returned goes through build_hypergraph.
+
+    A trial is planted only when its counts (``_trial_counts``) leave its
+    verdict open. When they place the rate beyond the tolerance on one side,
+    and a plant that got stuck on duplicates would move the bracket the same
+    way (a stuck plant lowers it after the first trial and leaves it at the
+    first), the trial moves the bracket without a plant. After the first
+    trial, a planted trial stops once its rate is certain to end above target
+    + OVERLAP_TOLERANCE, which lowers the bracket as a finished overshoot
+    does. A skipped or stopped trial's gap is exact only when the counts give
+    one rate and no edge can stick; otherwise only a search that fails
+    replants it in full, for the exact closest gap. Deterministic for a fixed
+    config. A size that does not fit in n nodes, or a count above the number
+    of distinct edges of its size, fails before any per-edge state is built.
     """
     if max(cfg.edge_spec) > cfg.n:
         raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
@@ -304,41 +351,46 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
     target = cfg.target_overlap
     ceiling = target + OVERLAP_TOLERANCE
-    disjoint = sum(edge_sizes) <= cfg.n and target > OVERLAP_TOLERANCE
     best_gap = np.inf
     stopped = []
     for attempt in range(_ATTEMPTS):
         draws = _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
         lo, hi = 0.0, 1.0
         for step in range(_BISECT_STEPS):
-            if step == 0 and disjoint:
-                best_gap = min(best_gap, target)
-                continue
             lam = 0.0 if step == 0 else (1.0 if step == 1 else 0.5 * (lo + hi))
-            plant = _plant(cfg.n, edge_sizes, lam, draws, ceiling if step else math.inf)
-            if plant is None:
-                hi = min(hi, lam) if lam > 0.0 else hi
-                continue
-            edges, achieved = plant
-            if edges is None:
-                stopped.append((achieved - target, attempt, lam))
-                hi = lam
-                continue
-            gap = abs(achieved - target)
-            best_gap = min(best_gap, gap)
-            if gap <= OVERLAP_TOLERANCE:
-                return build_hypergraph(cfg.n, edges)
-            if step == 0 and achieved > target:
-                break
-            if step == 1 and achieved < target:
-                break
-            if achieved < target:
-                lo = lam
+            low, high, stick = _trial_counts(cfg.n, edge_sizes, lam, draws)
+            over = low > target
+            gap_floor = max(low - target, target - high) - _RATE_MARGIN
+            # A stuck plant moves the bracket as an undershoot does at step 0
+            # and as an overshoot does after it.
+            if gap_floor > OVERLAP_TOLERANCE and (not stick or over == (step > 0)):
+                if low == high and not stick:
+                    best_gap = min(best_gap, abs(low - target))
+                else:
+                    stopped.append((gap_floor, attempt, lam))
             else:
+                plant = _plant(cfg.n, edge_sizes, lam, draws, ceiling if step else math.inf)
+                if plant is None:
+                    over = step > 0
+                elif plant[0] is None:
+                    stopped.append((plant[1] - target, attempt, lam))
+                    over = True
+                else:
+                    edges, achieved = plant
+                    gap = abs(achieved - target)
+                    best_gap = min(best_gap, gap)
+                    if gap <= OVERLAP_TOLERANCE:
+                        return build_hypergraph(cfg.n, edges)
+                    over = achieved > target
+            if (over and step == 0) or (not over and step == 1):
+                break
+            if over:
                 hi = lam
-    # A stopped trial's gap is only bounded below: replant, in full, each one
-    # that could still be the closest, so the message names the exact gap.
-    # ``stopped`` is in attempt order, so each attempt is reseeded once.
+            else:
+                lo = lam
+    # A skipped or stopped trial's gap is only bounded below: replant, in full,
+    # each one that could still be the closest, so the message names the exact
+    # gap. ``stopped`` is in attempt order, so each attempt is reseeded once.
     redrawn = None
     for gap_floor, attempt, lam in stopped:
         if gap_floor >= best_gap:

@@ -25,6 +25,7 @@ from hyperinfer import (
     infer_hypergraph,
     infer_probabilities,
     make_dataset,
+    normalize_features,
     score_candidates,
     select_edges,
 )
@@ -397,8 +398,8 @@ class TestBlockedSearch:
 
     @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4), (2000, 1000)])
     def test_memory_stays_within_a_few_chunks(self, n, d):
-        # One chunk buffer, one ranking sub-block's partition indices and
-        # near-tie mask, plus O(n max size) for the pool. The peaks were 1.47,
+        # One chunk buffer and one ranking sub-block's partition indices,
+        # plus O(n max size) for the pool. The peaks were 1.47,
         # 1.48 and 1.41 chunks for the three cases; the bound leaves 19%, 35%
         # and 16% over them. Comparing whole sorted pool rows for duplicates,
         # not a column at a time, peaked at 1.92 at n=16000. Ranking a whole
@@ -463,6 +464,24 @@ class TestScoring:
         finally:
             tracemalloc.stop()
         assert peak < smoothness.BUFFER_BYTES + pair_table
+
+    def test_each_distinct_pair_is_summed_once(self, monkeypatch):
+        # A count of work, not a timing: the paper point's 48 size-8 candidates
+        # hold 48 * 28 = 1344 node pairs, of which 820 are distinct.
+        ds = make_dataset(SynthConfig(100, {8: 12}, 0.3, dim=1000, seed=0))
+        x = normalize_features(ds.x_nodes)
+        cs = generate_candidates(x, [8])
+        summed = []
+        direct = smoothness.direct_sq_dists
+
+        def counting(x, a, b):
+            summed.append(len(a))
+            return direct(x, a, b)
+
+        monkeypatch.setattr(smoothness, "direct_sq_dists", counting)
+        score_candidates(cs, x)
+        assert len(cs) * 28 == 1344
+        assert sum(summed) == 820
 
 
 class TestInferProbabilities:

@@ -22,13 +22,28 @@ from hyperinfer import synth
 from hyperinfer.smoothness import variant_edge_smoothness
 from hyperinfer.synth import (
     OVERLAP_TOLERANCE,
+    _RATE_MARGIN,
     _distinct_edges,
     _draw_fresh,
     _edge_draws,
     _plant,
+    _trial_counts,
     generate_ground_truth,
     overlap_rate,
 )
+
+
+def _planted_lams(monkeypatch) -> list:
+    """The lam of every ``synth._plant`` call from here on, in call order."""
+    lams = []
+    plant = synth._plant
+
+    def recording(n, sizes, lam, *args):
+        lams.append(lam)
+        return plant(n, sizes, lam, *args)
+
+    monkeypatch.setattr(synth, "_plant", recording)
+    return lams
 
 
 class _CountingGenerator:
@@ -263,9 +278,10 @@ class TestGenerateGroundTruth:
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
     def test_a_failed_search_with_stopped_trials_reports_the_exact_gap(self):
-        # The sizes exceed n, so the zero-sharing trial is planted; every
-        # attempt bisects to the end, and hundreds of trials stop at the
-        # ceiling, so the closest gap needs their full replants.
+        # The target is within the tolerance of 0, so each attempt plants its
+        # zero-sharing trial; every attempt bisects to the end, and over a
+        # thousand trials are skipped from their counts with only a gap floor
+        # (their plants can get stuck), so the closest gap needs full replants.
         cfg = SynthConfig(n=60, edge_spec={3: 10, 5: 8}, target_overlap=0.05, seed=0)
         with pytest.raises(InfeasibleError, match=r"closest gap over 50 attempts was 0\.217$"):
             generate_ground_truth(cfg)
@@ -276,28 +292,39 @@ class TestGenerateGroundTruth:
             (100, {8: 12}, 0.3, False),
             (100, {8: 12}, 0.05, True),
             (100, {8: 12}, 0.0, True),
-            (100, {8: 13}, 0.3, True),
+            (100, {8: 13}, 0.3, False),
         ],
     )
-    def test_the_zero_sharing_trial_is_planted_only_when_it_can_share(
+    def test_a_zero_sharing_trial_is_planted_only_when_its_counts_leave_the_verdict_open(
         self, monkeypatch, n, spec, target, zero_planted
     ):
-        # With every edge fresh (sizes summing to at most n) the lam=0 plant has
-        # rate exactly 0; above the tolerance it cannot be accepted.
-        lams = []
-        plant = synth._plant
-
-        def recording(n, sizes, lam, *args):
-            lams.append(lam)
-            return plant(n, sizes, lam, *args)
-
-        monkeypatch.setattr(synth, "_plant", recording)
+        # {8: 12} in 100 nodes: every edge is fresh at lam=0, so the counts give
+        # rate 0, an undershoot above the tolerance. {8: 13}: the last edge
+        # shares 4 nodes, rate 8/104 < 0.25, and no edge shares all its nodes,
+        # so none can get stuck. At targets within the tolerance of 0 the
+        # counts cannot rule out acceptance, so the trial is planted.
+        lams = _planted_lams(monkeypatch)
         generate_ground_truth(SynthConfig(n, spec, target, seed=0))
         assert (0.0 in lams) == zero_planted
 
+    def test_only_trials_the_counts_leave_open_are_planted(self, monkeypatch):
+        # A count of work, not a timing: the paper grid planted 71 trials over
+        # its 15 configs before trials were decided from their counts, and the
+        # synth-mixed config planted lam = 0, 1, 0.5, 0.25 and 0.125.
+        lams = _planted_lams(monkeypatch)
+        for target in (0.1, 0.3, 0.5):
+            for seed in range(5):
+                lams.clear()
+                generate_ground_truth(SynthConfig(100, {8: 12}, target, seed=seed))
+                assert len(lams) == 1, (target, seed, lams)
+        lams.clear()
+        generate_ground_truth(SynthConfig(3000, {3: 300, 8: 300}, 0.3, seed=0))
+        assert lams == [0.125]
+
     def test_stopped_trials_draw_fewer_fresh_nodes(self, monkeypatch):
         # A count of work, not a timing: 240 _draw_fresh calls before trials
-        # stopped at the ceiling and the zero-sharing trial was skipped, 154 now.
+        # stopped at the ceiling and the zero-sharing trial was skipped, 154
+        # before trials were decided from their counts, 60 now.
         calls = []
         draw_fresh = synth._draw_fresh
 
@@ -307,7 +334,30 @@ class TestGenerateGroundTruth:
 
         monkeypatch.setattr(synth, "_draw_fresh", counting)
         generate_ground_truth(SynthConfig(300, {3: 30, 8: 30}, 0.3, seed=1))
-        assert len(calls) < 240
+        assert len(calls) <= 60
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(8, 80),
+        st.lists(st.integers(2, 6), min_size=1, max_size=30),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_the_counts_bound_the_rate_of_a_full_plant(self, n, sizes, lam, seed):
+        sizes = sorted(sizes)
+        draws = _edge_draws((seed, 1, 0), len(sizes))
+        low, high, stick = _trial_counts(n, sizes, lam, draws)
+        plant = _plant(n, sizes, lam, draws)
+        if plant is None:
+            assert stick
+            return
+        # The counts sum the shares in another order than _overlap's mean, so
+        # the rates agree to a few ulps (at most 4.4e-16 over 2,963 plants).
+        rate = plant[1]
+        assert low - _RATE_MARGIN <= rate <= high + _RATE_MARGIN
+        if sizes[0] == sizes[-1]:
+            assert low == high
+            assert abs(rate - low) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(
