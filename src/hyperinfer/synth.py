@@ -23,8 +23,8 @@ from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 OVERLAP_TOLERANCE = 0.05
 
 # Far above the rounding of a running sum of m shares or of _overlap's mean
-# (about m ulps), far below any overlap rate that matters. It pads every
-# bound on a rate: _plant's ceiling stop and _trial_counts' low and high.
+# (about m ulps), far below any overlap rate that matters. It pads the
+# bounds on a rate, _trial_counts' low and high, wherever they are compared.
 _RATE_MARGIN = 1e-9
 _ATTEMPTS = 50
 _BISECT_STEPS = 25
@@ -219,8 +219,7 @@ def _plant(
     edge_sizes: list[int],
     lam: float,
     draws: list[_EdgeDraws],
-    ceiling: float = math.inf,
-) -> tuple[list[tuple[int, ...]] | None, float] | None:
+) -> tuple[list[tuple[int, ...]], float] | None:
     """Plant edges sequentially with shared fraction lam; None if stuck on duplicates.
 
     Returns the edges, as ascending node tuples, and their overlap_rate mean.
@@ -237,17 +236,6 @@ def _plant(
     size k costs O(k) outside the donor pool, which is O(edges planted). The
     donor pool is fixed across duplicate retries. An edge that shares no node
     has no shared draw and, with k fresh nodes, cannot repeat an earlier edge.
-
-    Degrees only grow, so a planted edge's count of nodes of degree >= 2 only
-    grows: the running sum of those counts over k (``share``) can only rise.
-    A node going from degree 1 to 2 adds 1/k to its owner's share; a new edge
-    adds its nodes already covered over k. An edge that is still to come
-    takes its ``wanted`` shared count of covered nodes once at least that
-    many are covered, so it adds at least wanted/k (``owed`` sums these).
-    Over the edge count, share plus owed is a lower bound on the final rate.
-    Once that bound is certain to exceed ``ceiling``, the plant stops and
-    returns ``(None, bound / m - _RATE_MARGIN)``, a certain lower bound on the
-    rate of the full plant if that plant would not get stuck later.
     """
     m = len(edge_sizes)
     degree = array("q", [0]) * n
@@ -258,16 +246,9 @@ def _plant(
     live = n
     edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
-    wanted = [_wanted(lam, k, u) for k, (u, _, _) in zip(edge_sizes, draws)]
-    owed = [0.0] * m
-    for idx in range(m - 1, 0, -1):
-        owed[idx - 1] = owed[idx] + wanted[idx] / edge_sizes[idx]
-    most = max(wanted)
-    share = 0.0
-    limit = (ceiling + _RATE_MARGIN) * m
-    for idx, (k, (_, rng, state)) in enumerate(zip(edge_sizes, draws)):
+    for idx, (k, (u, rng, state)) in enumerate(zip(edge_sizes, draws)):
         rng.bit_generator.state = state
-        shared = _shared(wanted[idx], k, n, live)
+        shared = _shared(_wanted(lam, k, u), k, n, live)
         fresh = _draw_fresh(pool, live, k - shared, rng)
         live -= k - shared
         if shared == 0:
@@ -290,13 +271,8 @@ def _plant(
                 first += 1
             elif seen == 1:
                 exclusive[owner[v]] -= 1
-                share += 1.0 / edge_sizes[owner[v]]
             degree[v] = seen + 1
         exclusive[idx] = first
-        share += (k - first) / k
-        bound = share + owed[idx] if n - live >= most else share
-        if bound > limit:
-            return None, bound / m - _RATE_MARGIN
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(sizes.sum()))
     return edges, _overlap(np.frombuffer(degree, dtype=np.int64), flat, sizes)[1]
 
@@ -330,14 +306,12 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     verdict open. When they place the rate beyond the tolerance on one side,
     and a plant that got stuck on duplicates would move the bracket the same
     way (a stuck plant lowers it after the first trial and leaves it at the
-    first), the trial moves the bracket without a plant. After the first
-    trial, a planted trial stops once its rate is certain to end above target
-    + OVERLAP_TOLERANCE, which lowers the bracket as a finished overshoot
-    does. A skipped or stopped trial's gap is exact only when the counts give
-    one rate and no edge can stick; otherwise only a search that fails
-    replants it in full, for the exact closest gap. Deterministic for a fixed
-    config. A size that does not fit in n nodes, or a count above the number
-    of distinct edges of its size, fails before any per-edge state is built.
+    first), the trial moves the bracket without a plant. A skipped trial's
+    gap is exact only when the counts give one rate and no edge can stick;
+    otherwise only a search that fails replants it, for the exact closest
+    gap. Deterministic for a fixed config. A size that does not fit in n
+    nodes, or a count above the number of distinct edges of its size, fails
+    before any per-edge state is built.
     """
     if max(cfg.edge_spec) > cfg.n:
         raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
@@ -350,9 +324,8 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
             )
     edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
     target = cfg.target_overlap
-    ceiling = target + OVERLAP_TOLERANCE
     best_gap = np.inf
-    stopped = []
+    skipped = []
     for attempt in range(_ATTEMPTS):
         draws = _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
         lo, hi = 0.0, 1.0
@@ -367,14 +340,11 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
                 if low == high and not stick:
                     best_gap = min(best_gap, abs(low - target))
                 else:
-                    stopped.append((gap_floor, attempt, lam))
+                    skipped.append((gap_floor, attempt, lam))
             else:
-                plant = _plant(cfg.n, edge_sizes, lam, draws, ceiling if step else math.inf)
+                plant = _plant(cfg.n, edge_sizes, lam, draws)
                 if plant is None:
                     over = step > 0
-                elif plant[0] is None:
-                    stopped.append((plant[1] - target, attempt, lam))
-                    over = True
                 else:
                     edges, achieved = plant
                     gap = abs(achieved - target)
@@ -388,11 +358,11 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
                 hi = lam
             else:
                 lo = lam
-    # A skipped or stopped trial's gap is only bounded below: replant, in full,
-    # each one that could still be the closest, so the message names the exact
-    # gap. ``stopped`` is in attempt order, so each attempt is reseeded once.
+    # A skipped trial's gap is only bounded below: replant each one that could
+    # still be the closest, so the message names the exact gap. ``skipped`` is
+    # in attempt order, so each attempt is reseeded once.
     redrawn = None
-    for gap_floor, attempt, lam in stopped:
+    for gap_floor, attempt, lam in skipped:
         if gap_floor >= best_gap:
             continue
         if redrawn is None or redrawn[0] != attempt:

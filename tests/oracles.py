@@ -1,18 +1,19 @@
 """Paper identities kept as independent oracles for the tests.
 
-None of this runs in the inference pipeline. The ev measure scores an edge by
-the summed squared distances from its own feature vector to its member nodes;
-weighted by edge probabilities it equals the quadratic form trace(X^T L X) of
-the incidence-graph Laplacian. The objective w.s' - sum(log w) + ||w||_1 is
-what the closed-form weights w = 1/(s' + 1) minimise.
+None of this runs in the inference pipeline, so it lives with the tests. The
+ev measure scores an edge by the summed squared distances from its own feature
+vector to its member nodes; weighted by edge probabilities it equals the
+quadratic form trace(X^T L X) of the incidence-graph Laplacian. The objective
+w.s' - sum(log w) + ||w||_1 is what the closed-form weights w = 1/(s' + 1)
+minimise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, as_features
-from .probmodel import IncidenceLaplacian
+from hyperinfer.core import DomainError, Hypergraph, as_features
+from hyperinfer.probmodel import IncidenceLaplacian
 
 
 def weighted_smoothness_ev(w, h: Hypergraph, x_nodes, x_edges) -> float:

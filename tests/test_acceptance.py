@@ -30,7 +30,7 @@ from hyperinfer import (
     run_sweep,
     sample_features,
 )
-from hyperinfer.theory import negative_log_likelihood, weighted_smoothness_ev
+from oracles import negative_log_likelihood, weighted_smoothness_ev
 
 BENCH_N = 100
 BENCH_SPEC = {8: 12}

@@ -311,6 +311,25 @@ class TestSynth:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_an_overlap_the_planter_cannot_reach_is_a_domain_failure(self, tmp_path, capsys):
+        # Every attempt's bisection ends without landing within the tolerance,
+        # so the message names the closest gap, and no file is written.
+        out = tmp_path / "ds"
+        code = _run(
+            "synth",
+            "--nodes", "20",
+            "--edges", "4=10",
+            "--overlap", "0.6",
+            "--dim", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: could not reach overlap 0.6 within 0.05 for n=20, edges {4: 10}; "
+            "closest gap over 50 attempts was 0.400\n"
+        )
+        assert not out.exists()
+
     def test_running_out_of_memory_exits_with_one_error_line(self, tmp_path, monkeypatch):
         # 110 x 2e9 standard normals need 1.6 TiB, more than the child's
         # address-space limit, so the draw fails before any of it is touched.

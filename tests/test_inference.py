@@ -32,7 +32,7 @@ from hyperinfer import (
 from hyperinfer import inference, smoothness
 from hyperinfer.inference import _selection_order
 from hyperinfer.smoothness import direct_sq_dists, pairwise_sq_dists, row_chunks
-from hyperinfer.theory import inference_objective
+from oracles import inference_objective
 
 TWO_PAIRS = np.array([[0.0], [1.0], [10.0], [11.0]])
 

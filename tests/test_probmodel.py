@@ -17,7 +17,7 @@ from hyperinfer import (
     incidence_matrix,
     sample_features,
 )
-from hyperinfer.theory import negative_log_likelihood, weighted_smoothness_ev
+from oracles import negative_log_likelihood, weighted_smoothness_ev
 
 
 class TestIncidenceLaplacian:

@@ -22,7 +22,7 @@ from hyperinfer.smoothness import (
     row_chunks,
     variant_edge_smoothness,
 )
-from hyperinfer.theory import inference_objective, weighted_smoothness_ev
+from oracles import inference_objective, weighted_smoothness_ev
 
 TWO_POINTS = np.array([[1.0], [-1.0]])
 THREE_POINTS = np.array([[0.0], [1.0], [3.0]])

@@ -38,9 +38,9 @@ def _planted_lams(monkeypatch) -> list:
     lams = []
     plant = synth._plant
 
-    def recording(n, sizes, lam, *args):
+    def recording(n, sizes, lam, draws):
         lams.append(lam)
-        return plant(n, sizes, lam, *args)
+        return plant(n, sizes, lam, draws)
 
     monkeypatch.setattr(synth, "_plant", recording)
     return lams
@@ -196,9 +196,11 @@ class TestGenerateGroundTruth:
     # lowest-degree fallback, duplicate retries and plants that get stuck, so
     # a change to any of them, or to the order of the RNG draws, shows here.
     # The mixed n=600 configs draw among many donors tied on burden; the n=3000
-    # config is the synth-mixed benchmark workload's; its higher trials stop
-    # at the ceiling. The n=100 {8: 13} config's sizes exceed n, so its
-    # zero-sharing trial must share, and is accepted at target 0.05.
+    # configs are the synth-mixed benchmark workload's, and each plants one
+    # trial, lam = 0.125. At overlap 0.5, (600, {3: 60, 8: 60}, seed 1) and
+    # (1000, {4: 100, 8: 100}, seed 0) plant a first trial that overshoots.
+    # The n=100 {8: 13} config's sizes exceed n, so its zero-sharing trial
+    # must share, and is accepted at target 0.05.
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
@@ -261,7 +263,7 @@ class TestGenerateGroundTruth:
         assert len(set(seeds)) == len(seeds)
 
     # Recorded planter output at the paper point over seeds 0-4: its
-    # zero-sharing trial is skipped and its higher trials stop at the ceiling.
+    # zero-sharing trial is skipped, and each config plants one trial.
     @pytest.mark.parametrize(
         "target, digest",
         [
@@ -321,10 +323,9 @@ class TestGenerateGroundTruth:
         generate_ground_truth(SynthConfig(3000, {3: 300, 8: 300}, 0.3, seed=0))
         assert lams == [0.125]
 
-    def test_stopped_trials_draw_fewer_fresh_nodes(self, monkeypatch):
-        # A count of work, not a timing: 240 _draw_fresh calls before trials
-        # stopped at the ceiling and the zero-sharing trial was skipped, 154
-        # before trials were decided from their counts, 60 now.
+    def test_skipped_trials_draw_fewer_fresh_nodes(self, monkeypatch):
+        # A count of work, not a timing: 240 _draw_fresh calls when every
+        # trial was planted, 60 since trials the counts decide are skipped.
         calls = []
         draw_fresh = synth._draw_fresh
 
@@ -358,24 +359,6 @@ class TestGenerateGroundTruth:
         if sizes[0] == sizes[-1]:
             assert low == high
             assert abs(rate - low) <= 1e-12
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(8, 40),
-        st.lists(st.integers(2, 6), min_size=1, max_size=14),
-        st.floats(0.0, 1.0),
-        st.floats(0.0, 1.0),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_a_ceiling_only_stops_plants_that_end_above_it(self, n, sizes, lam, ceiling, seed):
-        sizes = sorted(sizes)
-        draws = _edge_draws((seed, 1, 0), len(sizes))
-        full = _plant(n, sizes, lam, draws)
-        cut = _plant(n, sizes, lam, draws, ceiling)
-        if cut is None or cut[0] is not None:
-            assert cut == full
-        else:
-            assert full is None or full[1] > ceiling and full[1] >= cut[1]
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.6])
     def test_a_trial_plant_measures_its_own_overlap_rate(self, lam):
