@@ -142,7 +142,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    convert = SWEEP_AXES[args.axis]
+    convert, _ = SWEEP_AXES[args.axis]
     try:
         values = [convert(tok) for tok in args.values]
     except ValueError as exc:
@@ -247,15 +247,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_InputError, OSError) as exc:  # OSError: an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, str(exc)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, str(exc)
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
-        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
-        return 3
+        code, message = 3, f"{args.command}: out of memory{detail}"
+    # A message may quote a file's line breaks; each is written as \n, so it stays one line.
+    print("error: " + "\\n".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

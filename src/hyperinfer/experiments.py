@@ -19,12 +19,8 @@ from .metrics import MatchReport, SeparationReport, f1_exact, hgmse, probability
 from .smoothness import SmoothnessVariant
 from .synth import SynthConfig, make_dataset
 
-# Each sweep axis and the type its grid values are parsed to.
-SWEEP_AXES = {"nodes": int, "edge-size": int, "overlap": float, "variant": str}
-
-SWEEP_COLUMNS = (
-    "axis", "value", "seed", "status", "f1", "hgmse", "f1_std", "hgmse_std", "gap"
-)
+# The sweep's row schema, in the order of its CSV header.
+SWEEP_COLUMNS = ("axis", "value", "seed", "status", "f1", "hgmse", "f1_std", "hgmse_std", "gap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +81,29 @@ def run_protocol(
     )
 
 
+# Each sweep axis: the type its grid values parse to, and the run_protocol
+# keywords a value sets, given the sweep's base keywords and the run's seed.
+# The random variant alone takes the run's seed.
+SWEEP_AXES = {
+    "nodes": (int, lambda value, base, seed: {"n": value}),
+    "edge-size": (
+        int, lambda value, base, seed: {"edge_spec": {value: sum(base["edge_spec"].values())}}
+    ),
+    "overlap": (float, lambda value, base, seed: {"overlap": float(value)}),
+    "variant": (str, lambda value, base, seed: {"variant": SmoothnessVariant(
+        kind=str(value), seed=seed if str(value) == "random" else None
+    )}),
+}
+
+# Each metric column of a run row and how it reads the run's result. A summary
+# row holds the mean and std of f1 and hgmse over its runs and their smallest gap.
+_READERS = {
+    "f1": lambda result: result.match.f1,
+    "hgmse": lambda result: result.hgmse,
+    "gap": lambda result: result.separation.gap,
+}
+
+
 def run_sweep(
     axis: str,
     values: Sequence,
@@ -115,58 +134,32 @@ def run_sweep(
     reps = whole(reps, "reps", 1)
     if not values:
         raise DomainError("sweep needs at least one grid value")
-    edge_spec = dict(edge_spec) if edge_spec is not None else {8: 12}
+    keywords = SWEEP_AXES[axis][1]
+    spec = dict(edge_spec) if edge_spec is not None else {8: 12}
+    base = dict(n=n, edge_spec=spec, overlap=overlap, sigma=sigma, dim=dim, normalize=normalize)
     rows: list[dict] = []
     for value in values:
-        point_n = value if axis == "nodes" else n
-        point_spec = {value: sum(edge_spec.values())} if axis == "edge-size" else edge_spec
-        point_overlap = float(value) if axis == "overlap" else overlap
         runs: list[dict] = []
         for rep in range(reps):
             run_seed = seed + rep
             row = dict.fromkeys(SWEEP_COLUMNS)
             row.update(axis=axis, value=value, seed=run_seed, status="ok")
             try:
-                variant = None
-                if axis == "variant":
-                    kind = str(value)
-                    variant = SmoothnessVariant(
-                        kind=kind, seed=run_seed if kind == "random" else None
-                    )
                 result = run_protocol(
-                    point_n,
-                    point_spec,
-                    point_overlap,
-                    sigma=sigma,
-                    dim=dim,
-                    seed=run_seed,
-                    variant=variant,
-                    normalize=normalize,
+                    **{**base, **keywords(value, base, run_seed), "seed": run_seed}
                 )
             except (DomainError, MemoryError) as exc:
                 row["status"] = f"error:{type(exc).__name__}"
             else:
-                row["f1"] = result.match.f1
-                row["hgmse"] = result.hgmse
-                row["gap"] = result.separation.gap
+                row.update((col, read(result)) for col, read in _READERS.items())
             runs.append(row)
         rows.extend(runs)
         ok = [row for row in runs if row["status"] == "ok"]
         if ok:
-            f1s = [row["f1"] for row in ok]
-            errs = [row["hgmse"] for row in ok]
-            gaps = [row["gap"] for row in ok if row["gap"] is not None]
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "seed": "summary",
-                    "status": "ok",
-                    "f1": float(np.mean(f1s)),
-                    "hgmse": float(np.mean(errs)),
-                    "f1_std": float(np.std(f1s)),
-                    "hgmse_std": float(np.std(errs)),
-                    "gap": min(gaps, default=None),
-                }
-            )
+            summary = dict(ok[0], seed="summary")
+            for col in ("f1", "hgmse"):
+                summary[col] = float(np.mean([row[col] for row in ok]))
+                summary[f"{col}_std"] = float(np.std([row[col] for row in ok]))
+            summary["gap"] = min((r["gap"] for r in ok if r["gap"] is not None), default=None)
+            rows.append(summary)
     return rows

@@ -62,12 +62,13 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     inflated predictions.
 
     The intersections |e & f| are the sparse product Hp^T Ht, formed only
-    for pairs that share a node, so memory grows with those pairs, not with
-    m_pred x m_truth. A pair weighs |e & f| + 1 and each predicted edge also
-    has its own dummy column of weight 1: every predicted edge may stay
-    unmatched, a full matching always exists, and the matched intersection is
-    the total weight less m_pred. The weights are integers, so the value does
-    not depend on which optimal matching the solver returns.
+    for pairs that share a node and over only the nodes some edge holds, so
+    memory grows with those pairs, not with m_pred x m_truth or with n. A
+    pair weighs |e & f| + 1 and each predicted edge also has its own dummy
+    column of weight 1: every predicted edge may stay unmatched, a full
+    matching always exists, and the matched intersection is the total weight
+    less m_pred. The weights are integers, so the value does not depend on
+    which optimal matching the solver returns.
     """
     import scipy.sparse
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
@@ -78,6 +79,13 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     # Binary incidences: the error compares node sets, whatever the weights.
     hp = incidence(replace(pred, weights=None))
     ht = incidence(replace(truth, weights=None))
+    # Relabel the nodes that some edge holds to 0..len(ids)-1, in order, so the
+    # product never builds an array over the declared n.
+    ids, inverse = np.unique(np.concatenate((hp.indices, ht.indices)), return_inverse=True)
+    hp, ht = (
+        scipy.sparse.csc_matrix((h.data, rows, h.indptr), shape=(len(ids), h.shape[1]))
+        for h, rows in ((hp, inverse[: hp.nnz]), (ht, inverse[hp.nnz :]))
+    )
     inter = hp.T @ ht
     # Each row's dummy column goes after its shared pairs; weights are negated
     # so that the minimum-weight matching is the maximum one.

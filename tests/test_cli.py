@@ -1,20 +1,26 @@
 """Command-line behaviour: exit codes, files written, printed summaries."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import hyperinfer
 from hyperinfer import build_hypergraph
 from hyperinfer.cli import main
 from hyperinfer.io import read_hypergraph, write_features, write_hypergraph
+from hyperinfer.smoothness import VARIANT_KINDS
 
 
 def _run(*argv):
@@ -547,6 +553,22 @@ class TestEval:
         assert "hgmse 0.0000" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "0 False"
 
+    @pytest.mark.parametrize("with_pool", [False, True], ids=["metrics", "with-candidates"])
+    def test_declared_node_count_does_not_change_the_line(self, tmp_path, capsys, with_pool):
+        # Scoring holds only the nodes the edges name, so n = 2**63 - 1 prints
+        # the line that n = 3 prints.
+        pool = tmp_path / "pool.csv"
+        pool.write_text("nodes,size,anchor,s_prime,prob\n0;1,2,0,0.5,0.6\n0;2,2,2,1.0,0.5\n")
+        lines = []
+        for n in (3, 2**63 - 1):
+            graph = tmp_path / f"g{n}.json"
+            graph.write_text(json.dumps({"n": n, "edges": [[0, 1], [1, 2]]}))
+            argv = ["eval", "--pred", str(graph), "--truth", str(graph)]
+            assert _run(*argv, *(["--candidates", str(pool)] if with_pool else [])) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert ("separation-gap 0.1000" in lines[0]) == with_pool
+
     def test_node_count_mismatch_exits_with_input_failure(self, tmp_path):
         pred, truth = tmp_path / "pred.json", tmp_path / "truth.json"
         write_hypergraph(pred, build_hypergraph(3, [[0, 1]]))
@@ -591,12 +613,17 @@ class TestEval:
                 "huge_anchor.csv",
                 "nodes,size,anchor,s_prime,prob\n0;1,2,99999999999999999999,1.0,0.5\n",
             ),
+            (
+                "--candidates",
+                "line_break.csv",
+                'nodes,size,anchor,s_prime,prob\n"0;\n1",3,0,1.0,0.5\n',
+            ),
         ],
         ids=[
             "bare-int-edge", "null-n", "null-weight", "row-without-prob", "row-with-extra-field",
             "string-edge", "float-n", "float-node", "bool-node", "bool-weight", "repeated-node",
             "huge-n", "negative-node", "repeated-node-json", "non-integer-size",
-            "deep-json", "long-field", "huge-node", "huge-anchor",
+            "deep-json", "long-field", "huge-node", "huge-anchor", "line-break-in-field",
         ],
     )
     def test_malformed_file_prints_only_the_error_line(self, tmp_path, flag, name, text):
@@ -796,6 +823,135 @@ class TestArgumentErrors:
         stderr = capsys.readouterr().err
         assert reason in stderr
         assert "invalid" not in stderr
+
+
+# What a file may hold where a node id or a count belongs: ids that fit, ids
+# beyond np.intp, negative ids, floats (NaN and inf among them) and booleans.
+_NUMBERS = st.one_of(
+    st.integers(-2, 12), st.integers(-(2**64), 2**64), st.floats(), st.booleans()
+)
+_IDS = st.lists(st.integers(0, 4), min_size=2, max_size=3, unique=True)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_CSV_FIELDS = st.one_of(
+    _NUMBERS.map(str),
+    st.lists(_NUMBERS.map(str), min_size=1, max_size=4).map(";".join),
+    st.text(max_size=6),
+    st.text(max_size=6).map(lambda text: '"' + text.replace('"', '""') + '"'),
+)
+# Well-formed rows of a candidates CSV and of a two-column features CSV.
+_POOL_ROWS = _IDS.flatmap(
+    lambda ids: st.builds(
+        lambda anchor, s, p: f"{';'.join(map(str, ids))},{len(ids)},{anchor},{s!r},{p!r}",
+        st.sampled_from(ids), st.floats(0.0, 10.0), st.floats(0.0, 1.0),
+    )
+)
+_FEATURE_ROWS = st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2).map(
+    lambda row: ",".join(map(repr, row))
+)
+
+
+def _either(good, bad):
+    """good or bad, each half the time; ``good | bad`` would weigh each branch of bad alike."""
+    return st.booleans().flatmap(lambda ok: good if ok else bad)
+
+
+def _csv(header: str, good_rows):
+    """A CSV file's bytes: the header over well-formed rows half the time, else
+    over well-formed and random rows, or any bytes."""
+    random_rows = st.lists(_CSV_FIELDS, min_size=1, max_size=6).map(",".join)
+    text = lambda rows: rows.map(lambda lines: "\n".join([header, *lines]).lstrip("\n").encode())
+    return _either(
+        text(st.lists(good_rows, min_size=1, max_size=6)),
+        text(st.lists(good_rows | random_rows, max_size=6)) | st.binary(max_size=60),
+    )
+
+
+def _hypergraph_file(n):
+    """A hypergraph file's bytes: well-formed over n nodes half the time, else
+    its layout around random contents, any JSON or any bytes."""
+    good_edges = st.lists(_IDS, min_size=1, max_size=4, unique_by=frozenset)
+    good = good_edges.map(lambda e: {"n": n, "edges": e})
+    edges = st.lists(_IDS | st.lists(_NUMBERS, max_size=4), max_size=4)
+    weights = st.lists(_NUMBERS | st.floats(0.0, 1.0), max_size=4)
+    bad = st.one_of(
+        st.builds(lambda e, w: {"n": n, "edges": e, "weights": w}, edges, weights),
+        st.dictionaries(st.sampled_from(["n", "edges", "weights"]), _JSON),
+        _JSON,
+    )
+    to_bytes = lambda doc: json.dumps(doc).encode()
+    return _either(good.map(to_bytes), bad.map(to_bytes) | st.binary(max_size=40))
+
+
+def _run_contract(argv, files):
+    """Run main(argv) in process on files in a scratch directory and check the contract.
+
+    An argv item "@name" is the path of file name there; ``files`` gives the
+    bytes of those that are read. The return code must be 0, 2 or 3; a nonzero
+    code must write exactly one stderr line, starting ``error: ``, and a zero
+    code none.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            Path(tmp, name).write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([os.path.join(tmp, a[1:]) if a.startswith("@") else a for a in argv])
+    event(f"exit {code}")
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []
+
+
+class TestExitCodeContract:
+    """Any file contents give exit code 0, 2 or 3, and no traceback."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_eval_on_any_files(self, data):
+        # n is shared, so that well-formed pairs reach the scoring at any count;
+        # counts near np.intp's limit are drawn as often as the rest.
+        counts = st.integers(1, 2**63 - 1) | st.integers(2**62, 2**63 - 1)
+        n = data.draw(_either(counts, _NUMBERS), label="n")
+        files = {
+            "pred.json": data.draw(_hypergraph_file(n), label="pred"),
+            "truth.json": data.draw(_hypergraph_file(n), label="truth"),
+        }
+        argv = ["eval", "--pred", "@pred.json", "--truth", "@truth.json", "--out", "@m.json"]
+        if data.draw(st.booleans(), label="with candidates"):
+            files["pool.csv"] = data.draw(
+                _csv("nodes,size,anchor,s_prime,prob", _POOL_ROWS), label="pool"
+            )
+            argv += ["--candidates", "@pool.csv"]
+        _run_contract(argv, files)
+
+    @settings(max_examples=100)
+    @given(
+        _csv("", _FEATURE_ROWS),
+        st.lists(_either(st.integers(2, 3), st.integers(-1, 5)), min_size=1, max_size=2),
+        st.one_of(
+            st.integers(-1, 6).map(lambda m: ["--top-m", str(m)]),
+            st.dictionaries(st.integers(-1, 5), st.integers(-1, 6), min_size=1, max_size=2).map(
+                lambda c: ["--per-size=" + ",".join(f"{k}={v}" for k, v in c.items())]
+            ),
+        ),
+        st.sampled_from(VARIANT_KINDS),
+        st.booleans(),
+    )
+    def test_infer_on_any_features(self, features, sizes, selection, variant, normalize):
+        argv = [
+            "infer", "--features", "@x.csv", "--sizes=" + ",".join(map(str, sizes)),
+            *selection, "--variant", variant, *(["--normalize"] if normalize else []),
+            "--out", "@pred.json", "--candidates", "@pool.csv",
+        ]
+        _run_contract(argv, {"x.csv": features})
 
 
 class TestEntrypoints:

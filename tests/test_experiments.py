@@ -127,7 +127,12 @@ class TestSweepMatchesDirectRuns:
 
     @pytest.mark.parametrize(
         "axis, values",
-        [("overlap", [0.1, 0.3]), ("variant", ["max", "mean", "min", "random"])],
+        [
+            ("overlap", [0.1, 0.3]),
+            ("variant", ["max", "mean", "min", "random"]),
+            ("nodes", [30, 50]),
+            ("edge-size", [3, 5]),
+        ],
     )
     def test_run_rows_equal_direct_protocol_runs(self, axis, values):
         seed, reps = 5, 3
@@ -139,6 +144,9 @@ class TestSweepMatchesDirectRuns:
         for i, row in enumerate(runs):
             rep_seed = seed + i % reps
             assert row["seed"] == rep_seed
+            n = row["value"] if axis == "nodes" else 40
+            # The edge-size axis keeps the base spec's total of four edges.
+            spec = {row["value"]: 4} if axis == "edge-size" else {4: 4}
             overlap = row["value"] if axis == "overlap" else 0.3
             variant = None
             if axis == "variant":
@@ -147,7 +155,7 @@ class TestSweepMatchesDirectRuns:
                     kind=kind, seed=rep_seed if kind == "random" else None
                 )
             direct = run_protocol(
-                40, {4: 4}, overlap, dim=16, seed=rep_seed, variant=variant, normalize=True
+                n, spec, overlap, dim=16, seed=rep_seed, variant=variant, normalize=True
             )
             assert row["status"] == "ok"
             assert row["f1"] == direct.match.f1

@@ -168,6 +168,19 @@ class TestHgmse:
             assert hgmse(weighted_pred, weighted_truth) == dense
         assert unequal >= 100
 
+    def test_declared_node_count_never_matters(self):
+        # Only the nodes that some edge holds enter the intersections, so the
+        # same edges score the same at n=4 and at np.intp's limit, and so do
+        # they with their ids moved to the top of that range.
+        pred_edges, truth_edges = [[0, 1], [1, 3]], [[0, 1, 2], [1, 3]]
+        expected = hgmse(build_hypergraph(4, pred_edges), build_hypergraph(4, truth_edges))
+        assert expected == 0.2
+        top = 2**63 - 1
+        for ids in ((0, 1, 2, 3), (0, 2**40, 2**62, top - 1)):
+            pred = build_hypergraph(top, [[ids[v] for v in e] for e in pred_edges])
+            truth = build_hypergraph(top, [[ids[v] for v in e] for e in truth_edges])
+            assert hgmse(pred, truth) == expected
+
     @given(hypergraphs())
     def test_self_distance_is_exactly_zero(self, h):
         assert hgmse(h, h) == 0.0
