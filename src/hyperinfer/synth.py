@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -22,8 +21,8 @@ from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
 OVERLAP_TOLERANCE = 0.05
 
-# Far above the rounding of a running sum of m shares or of _overlap's mean
-# (about m ulps), far below any overlap rate that matters. It pads the
+# Far above the rounding of a running sum of m shares or of a plant's mean
+# rate (about m ulps), far below any overlap rate that matters. It pads the
 # bounds on a rate, _trial_counts' low and high, wherever they are compared.
 _RATE_MARGIN = 1e-9
 _ATTEMPTS = 50
@@ -80,18 +79,11 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     if h.m == 0:
         raise DomainError("hypergraph has no hyperedges")
     inc = incidence(h)
-    return _overlap(np.bincount(inc.indices, minlength=h.n), inc.indices, np.diff(inc.indptr))
-
-
-def _overlap(degree: np.ndarray, flat: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
-    """overlap_rate of the edges whose nodes lie back to back in ``flat``.
-
-    ``degree`` counts each node's edges. Per edge, the count of nodes of
-    degree >= 2 over the edge size is the same float as the mean of a boolean
-    mask over the edge.
-    """
-    starts = np.cumsum(sizes) - sizes
-    per_edge = np.add.reduceat(degree[flat] >= 2, starts, dtype=np.intp) / sizes
+    # Degrees over the nodes the edges hold, not the declared n. Per edge, the
+    # count of degree >= 2 over k is the float a boolean mask's mean gives.
+    _, where, degree = np.unique(inc.indices, return_inverse=True, return_counts=True)
+    shared = np.add.reduceat(degree[where] >= 2, inc.indptr[:-1], dtype=np.intp)
+    per_edge = shared / np.diff(inc.indptr)
     return per_edge, float(per_edge.mean())
 
 
@@ -169,20 +161,21 @@ def _edge_draws(seed_key: tuple[int, ...], count: int) -> list[_EdgeDraws]:
     return draws
 
 
-def _wanted(lam: float, k: int, u: float) -> int:
-    """The shared count an edge of size k asks for: lam * k, rounded up when u < its fraction."""
-    target_shared = lam * k
-    shared = math.floor(target_shared)
-    return shared + 1 if u < target_shared - shared else shared
+def _shares(n: int, edge_sizes: list[int], lam: float, draws: list[_EdgeDraws]):
+    """Yield (k, shared, live) per edge: its size, its shared count, the uncovered count before it.
 
-
-def _shared(wanted: int, k: int, n: int, live: int) -> int:
-    """How many covered nodes an edge of size k takes, with live nodes still uncovered.
-
-    Its wanted count, as far as the n - live covered nodes allow, and at least
-    the k - live that the uncovered ones cannot fill.
+    An edge of size k asks for lam * k covered nodes, rounded up when its u
+    falls below the fraction. It takes as many as the n - live covered nodes
+    allow, and at least the k - live that the uncovered ones cannot fill. No
+    node draw enters, so ``_trial_counts`` and ``_plant`` read the same counts.
     """
-    return max(min(wanted, k, n - live), k - live)
+    live = n
+    for k, (u, _, _) in zip(edge_sizes, draws):
+        wanted = math.floor(lam * k)
+        wanted += u < lam * k - wanted
+        shared = max(min(wanted, k, n - live), k - live)
+        yield k, shared, live
+        live -= k - shared
 
 
 def _trial_counts(
@@ -190,10 +183,9 @@ def _trial_counts(
 ) -> tuple[float, float, bool]:
     """Bounds low <= high on the rate of the full plant at lam, and whether it can get stuck.
 
-    Each edge's shared count in ``_plant`` depends on the uncovered count
-    alone, so the counts follow without any node draw. A shared node is of
-    degree 1 whenever one is left: a donor gives its exclusive nodes, and the
-    fallback takes the lowest degrees first. So edge j turns hits_j =
+    ``_shares`` gives the shared counts without a node draw. A shared node is
+    of degree 1 whenever one is left: a donor gives its exclusive nodes, and
+    the fallback takes the lowest degrees first. So edge j turns hits_j =
     min(shared_j, single_j) nodes from degree 1 to 2, where single counts the
     degree-1 nodes. Over the edges, m * rate is the sum of shared_j / k_j
     plus 1 / k_owner per hit, and k_owner lies between the smallest and the
@@ -201,13 +193,11 @@ def _trial_counts(
     repeat an earlier edge, so only an edge that shares all its k nodes can
     get stuck. The bounds are the exact sums, not padded by ``_RATE_MARGIN``.
     """
-    live, single, hits, own, stick = n, 0, 0, 0.0, False
-    for k, (u, _, _) in zip(edge_sizes, draws):
-        shared = _shared(_wanted(lam, k, u), k, n, live)
+    single, hits, own, stick = 0, 0, 0.0, False
+    for k, shared, _ in _shares(n, edge_sizes, lam, draws):
         hit = min(shared, single)
         hits += hit
         single += k - shared - hit
-        live -= k - shared
         own += shared / k
         stick = stick or shared == k
     m = len(edge_sizes)
@@ -223,8 +213,8 @@ def _plant(
     """Plant edges sequentially with shared fraction lam; None if stuck on duplicates.
 
     Returns the edges, as ascending node tuples, and their overlap_rate mean.
-    Edge idx rounds lam * k with ``draws[idx]``'s u, then draws its nodes
-    from its generator reset to the saved state, so for fixed draws the node
+    Edge idx takes its counts from ``_shares``, then draws its nodes from
+    its generator reset to the saved state, so for fixed draws the node
     choices are coupled across different lam values: raising lam mainly
     raises the shared count, which keeps the overlap roughly monotone in lam
     and makes bisection meaningful.
@@ -232,10 +222,12 @@ def _plant(
     The planting state is the degree of every node, the edge that owns each
     degree-1 node, the count of exclusive nodes of every planted edge, and a
     swap-remove pool whose first ``live`` entries are the uncovered nodes
-    (``_draw_fresh``); the covered count is n - live. Planting an edge of
-    size k costs O(k) outside the donor pool, which is O(edges planted). The
-    donor pool is fixed across duplicate retries. An edge that shares no node
-    has no shared draw and, with k fresh nodes, cannot repeat an earlier edge.
+    (``_draw_fresh``). Planting an edge of size k costs O(k) outside the
+    donor pool, which is O(edges planted). The donor pool is fixed across
+    duplicate retries. An edge that shares no node has no shared draw and,
+    with k fresh nodes, cannot repeat an earlier edge. The nodes an edge does
+    not hold alone are those in two or more edges, so the plant's rate is the
+    mean of (k - exclusive) / k, the same float as overlap_rate's.
     """
     m = len(edge_sizes)
     degree = array("q", [0]) * n
@@ -243,14 +235,12 @@ def _plant(
     sizes = np.array(edge_sizes)
     exclusive = np.zeros(m, dtype=np.intp)
     pool = list(range(n))
-    live = n
     edges: list[tuple[int, ...]] = []
     taken: set[tuple[int, ...]] = set()
-    for idx, (k, (u, rng, state)) in enumerate(zip(edge_sizes, draws)):
+    shares = _shares(n, edge_sizes, lam, draws)
+    for idx, ((k, shared, live), (_, rng, state)) in enumerate(zip(shares, draws)):
         rng.bit_generator.state = state
-        shared = _shared(_wanted(lam, k, u), k, n, live)
         fresh = _draw_fresh(pool, live, k - shared, rng)
-        live -= k - shared
         if shared == 0:
             nodes = tuple(sorted(fresh))
         else:
@@ -273,8 +263,7 @@ def _plant(
                 exclusive[owner[v]] -= 1
             degree[v] = seen + 1
         exclusive[idx] = first
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(sizes.sum()))
-    return edges, _overlap(np.frombuffer(degree, dtype=np.int64), flat, sizes)[1]
+    return edges, float(((sizes - exclusive) / sizes).mean())
 
 
 def _distinct_edges(n: int, k: int, count: int) -> int:
@@ -299,8 +288,8 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     the target. Each attempt seeds every edge's generator once
     (``_edge_draws``, keyed on (seed, 1, attempt, edge index)); its trial
     plants all restart each edge's generator from the state saved then.
-    Trial plants are measured as they are, without validation; only the plant
-    that is returned goes through build_hypergraph.
+    A trial plant measures its rate from its own counts, without validation;
+    only the plant that is returned goes through build_hypergraph.
 
     A trial is planted only when its counts (``_trial_counts``) leave its
     verdict open. When they place the rate beyond the tolerance on one side,

@@ -82,6 +82,14 @@ class TestOverlapRate:
         per_edge, _ = overlap_rate(h)
         assert np.all(per_edge == 1.0)
 
+    def test_declared_node_count_does_not_size_the_count(self):
+        # Degrees are counted over the nodes the edges hold: a bincount over
+        # the declared n asked numpy for 2**63 - 1 counters and raised.
+        small = overlap_rate(build_hypergraph(3, [[0, 1], [1, 2]]))
+        huge = overlap_rate(build_hypergraph(2**63 - 1, [[0, 1], [1, 2]]))
+        assert small[0].tolist() == huge[0].tolist() == [0.5, 0.5]
+        assert small[1] == huge[1] == 0.5
+
     def test_empty_hypergraph_rejected(self):
         with pytest.raises(DomainError, match="no hyperedges"):
             overlap_rate(build_hypergraph(4, []))
@@ -200,7 +208,8 @@ class TestGenerateGroundTruth:
     # trial, lam = 0.125. At overlap 0.5, (600, {3: 60, 8: 60}, seed 1) and
     # (1000, {4: 100, 8: 100}, seed 0) plant a first trial that overshoots.
     # The n=100 {8: 13} config's sizes exceed n, so its zero-sharing trial
-    # must share, and is accepted at target 0.05.
+    # must share, and is accepted at target 0.05. The n=10000 config is the
+    # north-star scale.
     @pytest.mark.parametrize(
         "n, spec, target, seed, digest",
         [
@@ -215,6 +224,7 @@ class TestGenerateGroundTruth:
             (3000, {3: 300, 8: 300}, 0.3, 1, "586168a1eb0d10a6175d0354d48e61c41023527b99a05b26751d682272054b3f"),
             (100, {8: 13}, 0.05, 0, "b087e26b61f856dbbe94f260388d2cff5e74e836a002ba7a0e86661b16d91283"),
             (200, {4: 30, 6: 20}, 0.3, 2, "43535d088f772107dd435bd88117c4f93f359b4e975f47e0da731ca09b9b869d"),
+            (10000, {8: 1000}, 0.3, 0, "651820f96839e2fdd64e5ad8c45a059c8dfe8a1e7d9b9bb157a4fdd712bd3790"),
         ],
     )
     def test_planted_edges_match_the_recorded_output(self, n, spec, target, seed, digest):
@@ -352,9 +362,10 @@ class TestGenerateGroundTruth:
         if plant is None:
             assert stick
             return
-        # The counts sum the shares in another order than _overlap's mean, so
-        # the rates agree to a few ulps (at most 4.4e-16 over 2,963 plants).
-        rate = plant[1]
+        # The counts sum the shares in another order than the plant's mean,
+        # so the rates agree to a few ulps (at most 4.4e-16 over 2,963 plants).
+        edges, rate = plant
+        assert rate == overlap_rate(build_hypergraph(n, edges))[1]
         assert low - _RATE_MARGIN <= rate <= high + _RATE_MARGIN
         if sizes[0] == sizes[-1]:
             assert low == high
