@@ -78,6 +78,24 @@ def real(value, name: str) -> float:
     return float(value)
 
 
+def keyed_rng(key: Iterable[int]) -> np.random.Generator:
+    """The generator ``np.random.default_rng(list(key))`` gives, for nonnegative ints.
+
+    numpy's seed coercion turns each int of a list into its 32-bit words,
+    least significant first and at least one per int, and joins them; a
+    uint32 array of those words skips that per-int work and seeds the same
+    stream. Each generator gets a fresh array, as its SeedSequence keeps it.
+    """
+    words = []
+    for value in key:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+        while value > 0:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
 def build_hypergraph(
     n: int,
     edges: Iterable[Iterable[int]],

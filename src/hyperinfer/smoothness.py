@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_features is unused here, but perfbench/spans.py wraps this module's binding of it.
-from .core import DomainError, as_features, whole  # noqa: F401
+from .core import DomainError, as_features, keyed_rng, whole  # noqa: F401
 
 # The one working-buffer budget, 2 MiB: the search's row chunks of distances,
 # its ranking sub-blocks and the scorer's row blocks are all sized from it.
@@ -72,7 +72,7 @@ def variant_edge_smoothness(rows, x, variant: SmoothnessVariant) -> np.ndarray:
     pair_dists = dists[inverse].reshape(c, k * (k - 1) // 2)
     if variant.kind in _REDUCERS:
         return _REDUCERS[variant.kind](pair_dists, axis=1)
-    rngs = (np.random.default_rng([variant.seed, *nodes]) for nodes in rows.tolist())
+    rngs = (keyed_rng((variant.seed, *nodes)) for nodes in rows.tolist())
     picks = np.array([rng.integers(pair_dists.shape[1]) for rng in rngs], dtype=np.intp)
     return pair_dists[np.arange(c), picks]
 

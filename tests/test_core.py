@@ -32,7 +32,7 @@ from hyperinfer import (
     run_sweep,
     select_edges,
 )
-from hyperinfer.core import INTP_MAX, as_features, incidence, whole
+from hyperinfer.core import INTP_MAX, as_features, incidence, keyed_rng, whole
 from hyperinfer.io import read_hypergraph, write_hypergraph
 
 
@@ -288,6 +288,26 @@ class TestAsFeatures:
             as_features([[1.0, bad]])
 
 
+class TestKeyedRng:
+    # Seeds of one, two and four 32-bit words, on either side of each word
+    # boundary, and an index that needs a second word.
+    SEEDS = [0, 5, 2**32 - 1, 2**32, 2**32 + 5, 2**64 + 3, 10**30]
+    INDICES = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeds_the_stream_of_the_int_list(self, seed):
+        for key in [(seed,), (seed, 1), *((seed, 1, 3, idx) for idx in self.INDICES)]:
+            want = np.random.default_rng(list(key))
+            got = keyed_rng(key)
+            assert got.bit_generator.state == want.bit_generator.state, key
+            assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
+
+    def test_each_generator_keeps_its_own_entropy(self):
+        a, b = keyed_rng((3, 1)), keyed_rng((3, 1))
+        assert a.bit_generator.seed_seq.entropy is not b.bit_generator.seed_seq.entropy
+        assert a.bit_generator.seed_seq.entropy.tolist() == [3, 1]
+
+
 class TestNormalizeFeatures:
     def test_output_has_unit_spread(self):
         rng = np.random.default_rng(7)
@@ -332,7 +352,9 @@ ROOT_API = {
 
 # Public names that live only in their modules, not at the package root.
 MODULE_ONLY = {
-    "core": ["INTP_MAX", "REAL", "SelectionSpec", "WHOLE", "as_features", "real", "whole"],
+    "core": [
+        "INTP_MAX", "REAL", "SelectionSpec", "WHOLE", "as_features", "keyed_rng", "real", "whole"
+    ],
     "smoothness": [
         "VARIANT_KINDS", "direct_sq_dists", "pairwise_sq_dists", "variant_edge_smoothness"
     ],

@@ -1,9 +1,15 @@
 """Single-run protocol and one-axis sweep grids."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from hyperinfer import DomainError, SmoothnessVariant, experiments, run_protocol, run_sweep
+from conftest import forget_synthesis
+from hyperinfer import (
+    DomainError, InfeasibleError, SmoothnessVariant, experiments, run_protocol, run_sweep, synth,
+)
+from hyperinfer import io as hio
 from hyperinfer.experiments import SWEEP_COLUMNS
 
 
@@ -25,9 +31,112 @@ class TestRunProtocol:
 
     def test_same_arguments_same_outcome(self):
         a = run_protocol(40, {3: 4}, 0.2, dim=32, seed=3)
+        forget_synthesis()
         b = run_protocol(40, {3: 4}, 0.2, dim=32, seed=3)
         assert a.selected.edges == b.selected.edges
         assert a.match.f1 == b.match.f1
+
+
+def _count_synthesis(monkeypatch) -> dict:
+    """How many trial plants and how many make_dataset calls run from here on."""
+    calls = {"plants": 0, "datasets": 0}
+    plant, make_dataset = synth._plant, experiments.make_dataset
+
+    def planting(*args):
+        calls["plants"] += 1
+        return plant(*args)
+
+    def sampling(cfg):
+        calls["datasets"] += 1
+        return make_dataset(cfg)
+
+    monkeypatch.setattr(synth, "_plant", planting)
+    monkeypatch.setattr(experiments, "make_dataset", sampling)
+    return calls
+
+
+def _written(result, tmp_path, name) -> tuple[bytes, bytes]:
+    pred, pool = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    hio.write_hypergraph(pred, result.selected)
+    hio.write_candidates(pool, result.candidates)
+    return pred.read_bytes(), pool.read_bytes()
+
+
+class TestDatasetReuse:
+    BASE = dict(n=40, edge_spec={4: 5}, overlap=0.3, dim=16, seed=2, normalize=True)
+
+    @pytest.mark.parametrize("kind", ["mean", "min", "random"])
+    def test_another_variant_neither_replants_nor_resamples(self, tmp_path, monkeypatch, kind):
+        variant = SmoothnessVariant(kind, seed=2 if kind == "random" else None)
+        cold = _written(run_protocol(**self.BASE, variant=variant), tmp_path, "cold")
+        forget_synthesis()
+        calls = _count_synthesis(monkeypatch)
+        run_protocol(**self.BASE)
+        assert calls["plants"] >= 1 and calls["datasets"] == 1
+        cold_calls = dict(calls)
+        warm = run_protocol(**self.BASE, variant=variant)
+        assert calls == cold_calls
+        assert _written(warm, tmp_path, "warm") == cold
+
+    @pytest.mark.parametrize(
+        "change, replants",
+        [
+            ({"dim": 8}, False),
+            ({"sigma": 2e-3}, False),
+            ({"normalize": False}, False),
+            ({"n": 41}, True),
+            ({"edge_spec": {4: 4}}, True),
+            ({"edge_spec": {3: 5}}, True),
+            ({"overlap": 0.2}, True),
+            ({"seed": 3}, True),
+        ],
+    )
+    def test_a_changed_config_resamples_and_replants_only_for_the_truth(
+        self, monkeypatch, change, replants
+    ):
+        calls = _count_synthesis(monkeypatch)
+        first = run_protocol(**self.BASE)
+        plants = calls["plants"]
+        second = run_protocol(**{**self.BASE, **change})
+        assert calls["datasets"] == 2
+        assert (calls["plants"] > plants) == replants
+        assert (second.truth is first.truth) == (not replants)
+
+    def test_an_infeasible_config_raises_on_every_call_and_keeps_nothing(self, monkeypatch):
+        # Five 8-node edges cannot sit disjointly inside 10 nodes.
+        run_protocol(**self.BASE)
+        assert experiments._dataset is not None
+        calls = _count_synthesis(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                run_protocol(10, {8: 5}, 0.0, dim=16)
+            assert experiments._dataset is None
+        assert calls["datasets"] == 2
+
+    def test_the_old_features_are_freed_before_a_new_dataset_is_made(self, monkeypatch):
+        run_protocol(**self.BASE)
+        old = weakref.ref(experiments._dataset[1][2])
+        make_dataset = experiments.make_dataset
+
+        def sampling(cfg):
+            assert old() is None, "the kept features outlived the miss"
+            return make_dataset(cfg)
+
+        monkeypatch.setattr(experiments, "make_dataset", sampling)
+        run_protocol(**{**self.BASE, "seed": 3})
+
+    def test_changing_a_returned_config_does_not_change_the_kept_key(self, monkeypatch):
+        result = run_protocol(**self.BASE)
+        result.config.edge_spec[4] = 4
+        calls = _count_synthesis(monkeypatch)
+        second = run_protocol(**{**self.BASE, "edge_spec": {4: 4}})
+        assert calls["datasets"] == 1 and second.truth.m == 4
+
+    def test_the_inference_features_are_read_only(self):
+        run_protocol(**self.BASE)
+        x = experiments._dataset[1][2]
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
 
 
 class TestRunSweep:
@@ -90,6 +199,23 @@ class TestRunSweep:
             (60, 0, "ok"), (60, "summary", "ok"),
         ]
         assert rows[2]["f1"] is None and rows[2]["gap"] is None
+
+    def test_runs_go_seed_by_seed_and_rows_point_by_point(self, monkeypatch):
+        order = []
+        run = experiments.run_protocol
+
+        def protocol(*args, **kwargs):
+            order.append((kwargs["variant"].kind, kwargs["seed"]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_protocol", protocol)
+        calls = _count_synthesis(monkeypatch)
+        rows = run_sweep("variant", ["min", "max"], 3, n=40, edge_spec={4: 4}, dim=16, seed=4)
+        assert order == [(kind, seed) for seed in (4, 5, 6) for kind in ("min", "max")]
+        assert calls["datasets"] == 3
+        assert [(r["value"], r["seed"]) for r in rows] == [
+            (value, seed) for value in ("min", "max") for seed in (4, 5, 6, "summary")
+        ]
 
     def test_unknown_variant_value_is_an_error_row(self):
         rows = run_sweep("variant", ["median"], 1, n=40, edge_spec={4: 4}, dim=16)
@@ -154,6 +280,7 @@ class TestSweepMatchesDirectRuns:
                 variant = SmoothnessVariant(
                     kind=kind, seed=rep_seed if kind == "random" else None
                 )
+            forget_synthesis()
             direct = run_protocol(
                 n, spec, overlap, dim=16, seed=rep_seed, variant=variant, normalize=True
             )
