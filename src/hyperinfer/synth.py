@@ -9,7 +9,6 @@ model over the planted structure.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -304,38 +303,26 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     gap. Deterministic for a fixed config. A size that does not fit in n
     nodes, or a count above the number of distinct edges of its size, fails
     before any per-edge state is built.
-
-    A plant reads only n, the edge spec, the target and the seed, so the last
-    two distinct plants are kept and a repeat returns the same immutable
-    Hypergraph: a protocol grid plants one truth for every dim, sigma and
-    scoring variant. A failed search is not kept; a repeat searches again.
     """
-    return _planted(cfg.n, tuple(sorted(cfg.edge_spec.items())), cfg.target_overlap, cfg.seed)
-
-
-# Two entries: a protocol grid over overlaps and variants at one seed plants
-# one other truth between two uses of the same one.
-@functools.lru_cache(maxsize=2)
-def _planted(n: int, spec: tuple[tuple[int, int], ...], target: float, seed: int) -> Hypergraph:
-    """``generate_ground_truth`` on its key: the (size, count) pairs ascending."""
-    if spec[-1][0] > n:
-        raise InfeasibleError(f"hyperedge size {spec[-1][0]} does not fit in {n} nodes")
-    for k, count in spec:
-        distinct = _distinct_edges(n, k, count)
+    if max(cfg.edge_spec) > cfg.n:
+        raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
+    for k, count in sorted(cfg.edge_spec.items()):
+        distinct = _distinct_edges(cfg.n, k, count)
         if distinct < count:
             raise InfeasibleError(
                 f"cannot plant {count} distinct hyperedges of size {k}: "
-                f"{n} nodes hold only {distinct}"
+                f"{cfg.n} nodes hold only {distinct}"
             )
-    edge_sizes = [k for k, count in spec for _ in range(count)]
+    edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
+    target = cfg.target_overlap
     best_gap = np.inf
     skipped = []
     for attempt in range(_ATTEMPTS):
-        draws = _edge_draws((seed, 1, attempt), len(edge_sizes))
+        draws = _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
         lo, hi = 0.0, 1.0
         for step in range(_BISECT_STEPS):
             lam = 0.0 if step == 0 else (1.0 if step == 1 else 0.5 * (lo + hi))
-            low, high, stick = _trial_counts(n, edge_sizes, lam, draws)
+            low, high, stick = _trial_counts(cfg.n, edge_sizes, lam, draws)
             over = low > target
             gap_floor = max(low - target, target - high) - _RATE_MARGIN
             # A stuck plant moves the bracket as an undershoot does at step 0
@@ -346,7 +333,7 @@ def _planted(n: int, spec: tuple[tuple[int, int], ...], target: float, seed: int
                 else:
                     skipped.append((gap_floor, attempt, lam))
             else:
-                plant = _plant(n, edge_sizes, lam, draws)
+                plant = _plant(cfg.n, edge_sizes, lam, draws)
                 if plant is None:
                     over = step > 0
                 else:
@@ -354,7 +341,7 @@ def _planted(n: int, spec: tuple[tuple[int, int], ...], target: float, seed: int
                     gap = abs(achieved - target)
                     best_gap = min(best_gap, gap)
                     if gap <= OVERLAP_TOLERANCE:
-                        return build_hypergraph(n, edges)
+                        return build_hypergraph(cfg.n, edges)
                     over = achieved > target
             if (over and step == 0) or (not over and step == 1):
                 break
@@ -370,13 +357,13 @@ def _planted(n: int, spec: tuple[tuple[int, int], ...], target: float, seed: int
         if gap_floor >= best_gap:
             continue
         if redrawn is None or redrawn[0] != attempt:
-            redrawn = attempt, _edge_draws((seed, 1, attempt), len(edge_sizes))
-        plant = _plant(n, edge_sizes, lam, redrawn[1])
+            redrawn = attempt, _edge_draws((cfg.seed, 1, attempt), len(edge_sizes))
+        plant = _plant(cfg.n, edge_sizes, lam, redrawn[1])
         if plant is not None:
             best_gap = min(best_gap, abs(plant[1] - target))
     raise InfeasibleError(
-        f"could not reach overlap {target} within {OVERLAP_TOLERANCE} for n={n}, "
-        f"edges {dict(spec)}; closest gap over {_ATTEMPTS} attempts was {best_gap:.3f}"
+        f"could not reach overlap {target} within {OVERLAP_TOLERANCE} for n={cfg.n}, "
+        f"edges {dict(cfg.edge_spec)}; closest gap over {_ATTEMPTS} attempts was {best_gap:.3f}"
     )
 
 

@@ -4,8 +4,8 @@ Hypothesis strategies cover the small randomised property tests; the plain
 ``random_*`` helpers drive the larger seeded loops where we want numpy-speed
 generation and exact reproducibility from a single integer seed.
 
-The planter keeps its last plants and ``run_protocol`` its last dataset; every
-test starts without them, and ``forget_synthesis`` drops them mid-test.
+``run_protocol`` keeps its last dataset; every test starts without it, and
+``forget_synthesis`` drops it mid-test.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hyperinfer import Hypergraph, build_hypergraph, experiments, synth
+from hyperinfer import Hypergraph, build_hypergraph, experiments
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -22,15 +22,14 @@ settings.load_profile("suite")
 
 
 def forget_synthesis():
-    """Drop the kept plants and protocol dataset, so the next call recomputes them."""
-    synth._planted.cache_clear()
+    """Drop the kept protocol dataset, so the next call synthesizes it again."""
     experiments._dataset = None
 
 
 @pytest.fixture(autouse=True)
 def _fresh_synthesis():
-    # A test that counts planting work, or checks that a rerun repeats its
-    # output, must not get a plant or dataset kept from an earlier test.
+    # A test that counts synthesis work, or checks that a rerun repeats its
+    # output, must not get a dataset kept from an earlier test.
     forget_synthesis()
 
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import forget_synthesis
 import hyperinfer
 from hyperinfer import build_hypergraph
 from hyperinfer.cli import main
@@ -283,7 +282,6 @@ class TestSynth:
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         self._generate(a)
-        forget_synthesis()
         self._generate(b)
         for name in (
             "node_features.csv",

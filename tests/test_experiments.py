@@ -79,28 +79,24 @@ class TestDatasetReuse:
         assert _written(warm, tmp_path, "warm") == cold
 
     @pytest.mark.parametrize(
-        "change, replants",
+        "change",
         [
-            ({"dim": 8}, False),
-            ({"sigma": 2e-3}, False),
-            ({"normalize": False}, False),
-            ({"n": 41}, True),
-            ({"edge_spec": {4: 4}}, True),
-            ({"edge_spec": {3: 5}}, True),
-            ({"overlap": 0.2}, True),
-            ({"seed": 3}, True),
+            {"dim": 8},
+            {"sigma": 2e-3},
+            {"normalize": False},
+            {"n": 41},
+            {"edge_spec": {4: 4}},
+            {"edge_spec": {3: 5}},
+            {"overlap": 0.2},
+            {"seed": 3},
         ],
     )
-    def test_a_changed_config_resamples_and_replants_only_for_the_truth(
-        self, monkeypatch, change, replants
-    ):
+    def test_a_changed_config_or_normalize_synthesizes_again(self, monkeypatch, change):
         calls = _count_synthesis(monkeypatch)
-        first = run_protocol(**self.BASE)
+        run_protocol(**self.BASE)
         plants = calls["plants"]
-        second = run_protocol(**{**self.BASE, **change})
-        assert calls["datasets"] == 2
-        assert (calls["plants"] > plants) == replants
-        assert (second.truth is first.truth) == (not replants)
+        run_protocol(**{**self.BASE, **change})
+        assert calls["datasets"] == 2 and calls["plants"] > plants
 
     def test_an_infeasible_config_raises_on_every_call_and_keeps_nothing(self, monkeypatch):
         # Five 8-node edges cannot sit disjointly inside 10 nodes.

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from conftest import forget_synthesis, hypergraphs
+from conftest import hypergraphs
 from hyperinfer import (
     DomainError,
     InfeasibleError,
@@ -193,45 +193,7 @@ class TestGenerateGroundTruth:
 
     def test_fixed_seed_reproduces_the_same_truth(self):
         cfg = SynthConfig(n=60, edge_spec={6: 6}, target_overlap=0.25, seed=11)
-        first = generate_ground_truth(cfg)
-        forget_synthesis()
-        assert generate_ground_truth(cfg).edges == first.edges
-
-    def test_a_repeated_plant_is_kept(self, monkeypatch):
-        # The key is what a plant reads: the spec's order and dim, sigma do not enter.
-        lams = _planted_lams(monkeypatch)
-        first = generate_ground_truth(SynthConfig(60, {3: 4, 6: 4}, 0.25, seed=1))
-        planted = len(lams)
-        assert planted >= 1
-        again = generate_ground_truth(SynthConfig(60, {6: 4, 3: 4}, 0.25, dim=8, sigma=0.5, seed=1))
-        assert again is first and len(lams) == planted
-        generate_ground_truth(SynthConfig(60, {3: 4, 6: 4}, 0.25, seed=2))
-        assert len(lams) > planted
-
-    def test_the_last_two_plants_are_kept(self, monkeypatch):
-        a, b, c = (SynthConfig(60, {6: 6}, target, seed=0) for target in (0.1, 0.25, 0.4))
-        lams = _planted_lams(monkeypatch)
-        generate_ground_truth(a)
-        generate_ground_truth(b)
-        planted = len(lams)
-        generate_ground_truth(a)
-        generate_ground_truth(b)
-        assert len(lams) == planted
-        generate_ground_truth(c)  # drops a, the least recently used
-        planted = len(lams)
-        generate_ground_truth(b)
-        assert len(lams) == planted
-        generate_ground_truth(a)
-        assert len(lams) > planted
-
-    def test_a_failed_search_is_not_kept(self, monkeypatch):
-        cfg = SynthConfig(n=20, edge_spec={4: 10}, target_overlap=0.6, seed=0)
-        lams = _planted_lams(monkeypatch)
-        for _ in range(2):
-            lams.clear()
-            with pytest.raises(InfeasibleError, match="closest gap over 50 attempts was 0.400$"):
-                generate_ground_truth(cfg)
-            assert lams, "the repeat did not search again"
+        assert generate_ground_truth(cfg).edges == generate_ground_truth(cfg).edges
 
     def test_different_seeds_usually_differ(self):
         base = SynthConfig(n=60, edge_spec={6: 6}, target_overlap=0.25, seed=0)
@@ -475,7 +437,6 @@ class TestMakeDataset:
     def test_bit_identical_reruns(self):
         cfg = SynthConfig(n=40, edge_spec={4: 5}, target_overlap=0.2, dim=8, seed=3)
         a = make_dataset(cfg)
-        forget_synthesis()
         b = make_dataset(cfg)
         assert a.truth.edges == b.truth.edges
         assert np.array_equal(a.x_nodes, b.x_nodes)
