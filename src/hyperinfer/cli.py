@@ -52,7 +52,10 @@ def _int(tok: str, what: str) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [_int(tok, "size") for tok in text.split(",") if tok.strip()]
+    items = [_int(tok, "size") for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError("empty size list")
+    return items
 
 
 def _count_map(text: str) -> dict[int, int]:

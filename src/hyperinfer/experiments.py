@@ -9,7 +9,7 @@ with paired seeds, so differences along the axis are not seed noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -127,7 +127,7 @@ _READERS = {
 
 def run_sweep(
     axis: str,
-    values: Sequence,
+    values: Iterable,
     reps: int,
     *,
     n: int = 100,
@@ -157,6 +157,7 @@ def run_sweep(
             f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}"
         )
     reps = whole(reps, "reps", 1)
+    values = list(values)
     if not values:
         raise DomainError("sweep needs at least one grid value")
     keywords = SWEEP_AXES[axis][1]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,34 +63,32 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
 
     The intersections |e & f| are the sparse product Hp^T Ht, formed only
     for pairs that share a node and over only the nodes some edge holds, so
-    memory grows with those pairs, not with m_pred x m_truth or with n. A
-    pair weighs |e & f| + 1 and each predicted edge also has its own dummy
-    column of weight 1: every predicted edge may stay unmatched, a full
-    matching always exists, and the matched intersection is the total weight
-    less m_pred. The weights are integers, so the value does not depend on
-    which optimal matching the solver returns.
+    memory grows with those pairs, not with m_pred x m_truth or with n. Both
+    factors hold ones in place of the weights: Hp^T is built as CSR straight
+    from the arrays of Hp's CSC incidence, and Ht as CSC. A pair weighs
+    |e & f| + 1 and each predicted edge also has its own dummy column of
+    weight 1: every predicted edge may stay unmatched, a full matching always
+    exists, and the matched intersection is the total weight less m_pred. The
+    weights are integers, so the value does not depend on which optimal
+    matching the solver returns.
     """
-    import scipy.sparse
+    from scipy.sparse import csc_matrix, csr_array, csr_matrix
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     _check_same_n(pred, truth)
     if truth.m == 0:
         raise DomainError("truth hypergraph has no hyperedges")
-    # Binary incidences: the error compares node sets, whatever the weights.
-    hp = incidence(replace(pred, weights=None))
-    ht = incidence(replace(truth, weights=None))
+    hp, ht = incidence(pred), incidence(truth)
     # Relabel the nodes that some edge holds to 0..len(ids)-1, in order, so the
     # product never builds an array over the declared n.
     ids, inverse = np.unique(np.concatenate((hp.indices, ht.indices)), return_inverse=True)
-    hp, ht = (
-        scipy.sparse.csc_matrix((h.data, rows, h.indptr), shape=(len(ids), h.shape[1]))
-        for h, rows in ((hp, inverse[: hp.nnz]), (ht, inverse[hp.nnz :]))
-    )
-    inter = hp.T @ ht
+    hpt = csr_matrix((np.ones(hp.nnz), inverse[: hp.nnz], hp.indptr), shape=(pred.m, len(ids)))
+    ht = csc_matrix((np.ones(ht.nnz), inverse[hp.nnz :], ht.indptr), shape=(len(ids), truth.m))
+    inter = hpt @ ht
     # Each row's dummy column goes after its shared pairs; weights are negated
     # so that the minimum-weight matching is the maximum one.
     m_pred, ends = pred.m, inter.indptr[1:]
-    g = scipy.sparse.csr_array(
+    g = csr_array(
         (
             np.insert(-1.0 - inter.data, ends, -1.0),
             np.insert(inter.indices, ends, truth.m + np.arange(m_pred)),
@@ -100,7 +98,7 @@ def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     )
     rows, partners = min_weight_full_bipartite_matching(g)
     matched = -g[rows, partners].sum() - m_pred
-    return float((hp.nnz + ht.nnz - 2.0 * matched) / ht.nnz)
+    return float((hpt.nnz + ht.nnz - 2.0 * matched) / ht.nnz)
 
 
 def probability_separation(cs: CandidateSet, truth: Hypergraph) -> SeparationReport:

@@ -813,8 +813,10 @@ class TestArgumentErrors:
             (["synth", "--nodes", "10", "--edges", ",", "--overlap", "0"], "empty size=count list"),
             (["sweep", "--axis", "overlap", "--values", ","], "empty value list"),
             (["infer", "--features", "x.csv", "--sizes", "3,a", "--top-m", "1"], "size must be an integer"),
+            (["infer", "--features", "x.csv", "--sizes", ",", "--per-size", "3=2"], "empty size list"),
         ],
-        ids=["no-count", "bad-size", "bad-count", "empty-map", "empty-values", "bad-sizes"],
+        ids=["no-count", "bad-size", "bad-count", "empty-map", "empty-values", "bad-sizes",
+             "empty-sizes"],
     )
     def test_parser_failure_shows_its_reason(self, tmp_path, capsys, argv, reason):
         with pytest.raises(SystemExit) as err:

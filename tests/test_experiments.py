@@ -242,6 +242,16 @@ class TestRunSweep:
             run_sweep("overlap", [0.1], 0)
         with pytest.raises(DomainError, match="at least one"):
             run_sweep("overlap", [], 1)
+        with pytest.raises(DomainError, match="at least one"):
+            run_sweep("overlap", np.array([]), 1)
+
+    @pytest.mark.parametrize(
+        "grid", [np.array, lambda values: (v for v in values)], ids=["array", "generator"]
+    )
+    def test_any_iterable_grid_gives_the_list_grids_rows(self, grid):
+        kwargs = dict(n=40, edge_spec={4: 4}, dim=16, seed=0)
+        rows = run_sweep("overlap", [0.1, 0.3], 2, **kwargs)
+        assert run_sweep("overlap", grid([0.1, 0.3]), 2, **kwargs) == rows
 
 
 class TestSweepMatchesDirectRuns:

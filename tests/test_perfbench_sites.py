@@ -7,6 +7,7 @@ changed pool shape would otherwise surface only when the benchmark runs, as
 failed ops. These tests read those files and change nothing in them.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyperinfer
 from hyperinfer import generate_candidates
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,6 +41,35 @@ def test_every_site_resolves_to_a_callable(monkeypatch):
     ]
     assert spans.SITES
     assert missing == []
+
+
+def test_every_import_is_used_exported_or_wrapped(monkeypatch):
+    # A name only SITES keeps bound is allowed: today inference.build_hypergraph
+    # and smoothness.as_features, which go once the benchmark stops wrapping them.
+    wrapped = {(module, attr) for module, attr, _ in _load(monkeypatch, "spans").SITES}
+    dead = []
+    for path in sorted(Path(hyperinfer.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        kept = {node.id for node in nodes if isinstance(node, ast.Name)}
+        kept.update(
+            name
+            for node in nodes
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+            for name in ast.literal_eval(node.value)
+        )
+        imported = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        dead += [
+            f"{path.stem}.{name}"
+            for name in imported
+            if name not in kept and (path.stem, name) not in wrapped
+        ]
+    assert dead == []
 
 
 def test_pool_counts_add_up_to_the_capacity(monkeypatch):
