@@ -169,14 +169,15 @@ def _checked_sizes(sizes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(set(ks)))
 
 
-def _nearest(gram: np.ndarray, x: np.ndarray, start: int, ks: tuple, bound: np.ndarray):
-    """The max(ks)-1 nearest other nodes of rows [start, start + len(gram)), by (distance, index).
+def _nearest(gram: np.ndarray, x: np.ndarray, rows, cols, own, ks: tuple, bound: np.ndarray):
+    """The max(ks)-1 nearest other nodes of the nodes ``rows``, by (distance, index).
 
     The distance is the scorer's, ``direct_sq_dists``. ``gram`` holds the rows'
-    Gram keys |x_j|^2 - 2 x_i.x_j (overwritten), which rank each row as its
-    distances do, and ``bound`` each row's B_i = 8 (d + 5) u (|x_i|^2 + max_j |x_j|^2),
-    for d features and unit roundoff u. With M = |x_i|^2 + |x_j|^2, a key errs by
-    at most (2d + 2) u M (d u M from the product, as much from |x_j|^2, 2 u M from
+    Gram keys |x_j|^2 - 2 x_i.x_j (overwritten) to the nodes ``cols``, which rank
+    each row as its distances do; ``own`` is the column of each row's own node,
+    and ``bound`` each row's B_i = 8 (d + 5) u (|x_i|^2 + max_j |x_j|^2), for d
+    features and unit roundoff u. With M = |x_i|^2 + |x_j|^2, a key errs by at
+    most (2d + 2) u M (d u M from the product, as much from |x_j|^2, 2 u M from
     one addition), and a direct distance by (d + 2) u |x_i - x_j|^2 <= (2d + 4) u M,
     by the dot-product bound (Higham, Accuracy and Stability of Numerical
     Algorithms, section 3.1), which holds in any summation order, so for any BLAS.
@@ -184,30 +185,153 @@ def _nearest(gram: np.ndarray, x: np.ndarray, start: int, ks: tuple, bound: np.n
     2 covers the second-order terms (for d < 10^7) and the rounding of B_i and of
     the comparisons. With r = max(ks)-1, the r + 1 smallest keys of each row, by
     ``np.argpartition`` in sub-blocks of rows whose indices take at most a quarter
-    of ``BUFFER_BYTES``, are sorted by (key, index). The first r are in direct
+    of ``BUFFER_BYTES``, are sorted by (key, node id). The first r are in direct
     order unless the row has a near-tie: its (r+1)-th key within B_i of its r-th,
     or a smaller size k's boundary keys (positions k-2 and k-1) within B_i of each
     other. Only such a row is reranked: its entries within B_i of its r-th key, by
-    (direct distance, index). If max(ks) = n, the (r+1)-th key is the row's own inf.
+    (direct distance, node id). If ``cols`` has only r other nodes, the (r+1)-th
+    key is the row's own inf. So a row's neighbours are a function of the
+    features alone, whenever ``cols`` holds every node whose key can come within
+    B_i of the row's r-th: every node, or the row's norm band (``_bands``).
     """
     r = ks[-1] - 1
-    np.fill_diagonal(gram[:, start:], np.inf)  # each row's own node
+    gram[np.arange(len(gram)), own] = np.inf  # each row's own node
     part = np.empty((len(gram), r + 1), dtype=np.intp)
     step = max(1, BUFFER_BYTES // (4 * 8 * gram.shape[1]))  # rows per ranking sub-block
     for a in range(0, len(gram), step):
         part[a : a + step] = np.argpartition(gram[a : a + step], r, axis=1)[:, : r + 1]
-    dist = np.take_along_axis(gram, part, axis=1)
-    order = np.lexsort((part, dist), axis=1)
-    part, dist = np.take_along_axis(part, order, axis=1), np.take_along_axis(dist, order, axis=1)
-    nearest, reach = part[:, :r], dist[:, r - 1] + bound
+    dist, ids = np.take_along_axis(gram, part, axis=1), cols[part]
+    order = np.lexsort((ids, dist), axis=1)
+    ids, dist = np.take_along_axis(ids, order, axis=1), np.take_along_axis(dist, order, axis=1)
+    nearest, reach = ids[:, :r], dist[:, r - 1] + bound
     near = dist[:, r] <= reach
     for k in ks[:-1]:
         near |= dist[:, k - 1] - dist[:, k - 2] <= bound
     for i in np.flatnonzero(near):
-        cols = np.flatnonzero(gram[i] <= reach[i])
-        direct = direct_sq_dists(x, cols, np.full_like(cols, start + i))
-        nearest[i] = cols[np.argsort(direct, kind="stable")[:r]]
+        within = cols[gram[i] <= reach[i]]
+        direct = direct_sq_dists(x, within, np.full_like(within, rows[i]))
+        nearest[i] = within[np.lexsort((within, direct))[:r]]
     return nearest
+
+
+# The norm-band seed takes blocks of SEED_ROWS norm-adjacent nodes; one block in
+# SEED_SAMPLE is seeded first, to see whether bands pay.
+SEED_ROWS, SEED_SAMPLE = 64, 16
+
+
+def _bands(x, sq_norms, bounds, r: int, buf: np.ndarray, height: int):
+    """Blocks (rows, cols, own) of rows to search against their norm bands ``cols`` alone.
+
+    (|x_i| - |x_j|)^2 <= |x_i - x_j|^2 (the projection bound of Friedman, Baskett
+    & Shustek, IEEE Trans. Computers, 1975), so row i needs only the nodes whose
+    norm lies within sqrt(D_i) of |x_i|, for any D_i that bounds every distance
+    ``_nearest`` can look at. The nodes are ordered by norm, and each block of
+    ``SEED_ROWS`` of them gets its keys among itself: the seed. With s_i a row's
+    r-th smallest seed key to another node, D_i = s_i + |x_i|^2 + 2 B_i. A key
+    errs by at most B_i / 4 (``_nearest``), so the band's r-th key is at most
+    s_i + B_i / 2, and a node whose key comes within B_i of that lies within
+    s_i + |x_i|^2 + 7 B_i / 4 of x_i. The band radius sqrt(D_i) is padded by
+    sqrt(B_i), far more than the rounding of the norms and the comparisons.
+
+    A row is banded if its band fits ``buf`` (the chunk buffer, ``height``
+    rows by n) with the keys and the gathered features of as many rows as take
+    an eighth of ``BUFFER_BYTES``, at most ``height``. Banded rows go in order of
+    band start, as many to a block (at most ``height``) as ``buf`` holds with the
+    union of their bands, keys and features gathered; ``cols`` is that union as
+    node ids in norm order, and ``own`` each row's own column in it. Also
+    returned is the mask of the rows left, to search against every node.
+
+    One seed block in ``SEED_SAMPLE`` is computed first; unless a quarter of
+    their rows are banded, no row is, and ``([], None)`` is returned. The whole
+    seed costs about ``SEED_ROWS`` / n of the keys of a search with no bands,
+    and a banded row saves most of its keys, so a quarter of the rows repays
+    it; inputs whose norms do not separate pay only the sample. ``([], None)``
+    is also returned if r >= ``SEED_ROWS``, or if no band of r + 1 nodes or no
+    seed block fits.
+    A block of fewer than r + 1 nodes at the end has no seed, so its rows
+    are not banded.
+    """
+    n, d = x.shape
+    cap = len(buf)
+    gathered = min(height, max(1, BUFFER_BYTES // (64 * d)))
+    widest = (cap - gathered * d) // (gathered + d)  # the widest band that fits with them
+    if r >= min(SEED_ROWS, widest) or SEED_ROWS * (SEED_ROWS + d) > cap:
+        return [], None
+    order = np.argsort(sq_norms)  # any order of equal norms will do
+    norms, seed = np.sqrt(sq_norms[order]), np.full(n, np.inf)
+
+    def plant_seed(starts):
+        for a in starts:
+            at = order[a : a + SEED_ROWS]
+            keys = pairwise_sq_dists(x, sq_norms, at, at, buf)
+            np.fill_diagonal(keys, np.inf)
+            seed[a : a + SEED_ROWS] = np.partition(keys, r - 1, axis=1)[:, r - 1]
+
+    def bands(at):  # the first norm position and the width of the bands at positions ``at``
+        with np.errstate(over="ignore"):
+            slack = bounds[order[at]]
+            radius = np.sqrt(seed[at] + sq_norms[order[at]] + 2 * slack) + np.sqrt(slack)
+            lo = np.searchsorted(norms, norms[at] - radius, side="left")
+            return lo, np.searchsorted(norms, norms[at] + radius, side="right") - lo
+
+    starts = range(0, n - r, SEED_ROWS)  # the blocks with r other nodes
+    sample = min(SEED_SAMPLE, len(starts)) // 2
+    plant_seed(starts[sample::SEED_SAMPLE])
+    sampled = np.flatnonzero(seed < np.inf)
+    if 4 * np.count_nonzero(bands(sampled)[1] <= widest) < len(sampled):
+        return [], None
+    plant_seed(a for i, a in enumerate(starts) if i % SEED_SAMPLE != sample)
+    lo, width = bands(slice(None))
+    banded = np.flatnonzero(width <= widest)
+    banded = banded[np.argsort(lo[banded], kind="stable")]
+    hi = lo + width
+    del norms, seed, width
+    blocks, first = [], 0
+    for t, (start, stop) in enumerate(zip(lo[banded].tolist(), hi[banded].tolist())):
+        if t > first:
+            h, wider = t + 1 - first, max(right, stop)
+            if h <= height and (h + d) * (wider - left) + h * d <= cap:
+                right = wider
+                continue
+            blocks.append((first, t, left, right))
+        first, left, right = t, start, stop
+    if banded.size:
+        blocks.append((first, len(banded), left, right))
+    wide = np.ones(n, dtype=bool)
+    wide[order[banded]] = False
+    return [
+        (order[banded[a:b]], order[left:right], banded[a:b] - left)
+        for a, b, left, right in blocks
+    ], wide
+
+
+def _search(x, sq_norms, bounds, ks: tuple) -> np.ndarray:
+    """Each node's max(ks)-1 nearest neighbours, after the node itself, one row per node.
+
+    The banded rows come first, a block at a time against its bands
+    (``_bands``); the rows left then go in index order against every node:
+    the ``row_chunks`` chunks as they are when no row is banded, else runs of
+    as many rows as the buffer holds with their keys and gathered features.
+    The one buffer is freed on return, before the pool is built.
+    """
+    n, d = x.shape
+    chunks = row_chunks(n)
+    neighbours = np.empty((n, ks[-1]), dtype=np.intp)
+    ids = neighbours[:, 0] = np.arange(n)
+    buf = np.empty(chunks[0][1] * n)
+    runs = [slice(a, b) for a, b in chunks]
+    if len(chunks) > 1:
+        blocks, wide = _bands(x, sq_norms, bounds, ks[-1] - 1, buf, chunks[0][1])
+        for rows, cols, own in blocks:
+            keys = pairwise_sq_dists(x, sq_norms, rows, cols, buf)
+            neighbours[rows, 1:] = _nearest(keys, x, rows, cols, own, ks, bounds[rows])
+        if blocks:
+            rest, step = np.flatnonzero(wide), min(chunks[0][1], len(buf) // (n + d))
+            runs = [rest[a : a + step] for a in range(0, len(rest), step)]
+    for run in runs:
+        keys = pairwise_sq_dists(x, sq_norms, run, slice(None), buf)
+        neighbours[run, 1:] = _nearest(keys, x, ids[run], ids, ids[run], ks, bounds[run])
+    return neighbours
 
 
 def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
@@ -215,18 +339,23 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
 
     Distances are squared Euclidean, by direct differences (the scorer's).
     Equidistant neighbours resolve to the smaller node index, so the pool is a
-    function of the features alone, whatever the chunk height or BLAS.
-    Duplicate node sets keep the first (size, anchor) pair that produced them,
-    and the result is ordered by size, then anchor.
+    function of the features alone, whatever the chunk height, the norm bands
+    or the BLAS. Duplicate node sets keep the first (size, anchor) pair that
+    produced them, and the result is ordered by size, then anchor.
 
-    The features are validated once. The search runs over the near-equal
-    ``row_chunks`` of about ``BUFFER_BYTES`` of distances each, which also
-    bound the temporaries of the squared row norms. A chunk's Gram keys to all
-    n nodes are computed into one buffer allocated once per search. Its rows
+    The features are validated once. The search holds one buffer of a
+    ``row_chunks`` chunk's keys to all n nodes, about ``BUFFER_BYTES``, and
+    every product goes through ``pairwise_sq_dists`` into it. With n <= 512
+    the one chunk is the full, symmetric product. Past that, the rows whose
+    norm band (``_bands``) fits the buffer, band and keys together, are
+    searched first, a block of them against the union of their bands,
+    gathered into the buffer. The other rows go in index order against every
+    node, read in place, a chunk at a time as with no bands, or, past banded
+    rows, gathered into the buffer a run at a time. Each block's rows
     are partitioned in sub-blocks whose indices take at most a quarter of
-    ``BUFFER_BYTES`` (one row if n > 65536), and their max(sizes)-1 nearest
-    neighbours, reranked by direct differences at near-ties (``_nearest``), are
-    kept before the next chunk is computed. It never holds an n x n matrix and
+    ``BUFFER_BYTES``, and their max(sizes)-1 nearest neighbours, reranked by
+    direct differences at near-ties (``_nearest``), are kept before the next
+    block is computed. It never holds an n x n matrix or an n x d copy, and
     sorts no full row. Every size takes a prefix of the one neighbour list.
 
     Features whose largest squared row norm exceeds a quarter of the largest
@@ -245,14 +374,7 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
         )
     bounds = 4 * (x.shape[1] + 5) * np.finfo(float).eps * (sq_norms + sq_norms.max())  # B_i
     # Each anchor in column 0, then its max(sizes)-1 nearest neighbours.
-    neighbours = np.empty((n, ks[-1]), dtype=np.intp)
-    neighbours[:, 0] = np.arange(n)
-    dist = np.empty((chunks[0][1], n))
-    # With n <= 512 the one chunk is the full product.
-    for start, stop in chunks:
-        d = pairwise_sq_dists(x, sq_norms, start, dist[: stop - start])
-        neighbours[start:stop, 1:] = _nearest(d, x, start, ks, bounds[start:stop])
-    del dist, d  # the chunk buffer is freed before the pool is built
+    neighbours = _search(x, sq_norms, bounds, ks)
     # One block of rows per size, sorted and padded to the widest size. Rows of
     # different sizes never collide, so one pass finds every duplicate.
     blocks = np.full((len(ks), n, ks[-1]), -1, dtype=np.intp)

@@ -132,19 +132,36 @@ def row_chunks(n: int) -> list[tuple[int, int]]:
     return [(i * q + min(i, extra), (i + 1) * q + min(i + 1, extra)) for i in range(count)]
 
 
-def pairwise_sq_dists(x, sq_norms, start: int, out: np.ndarray):
-    """Gram keys |x_j|^2 - 2 x_i.x_j of rows i in [start, start + len(out)), in ``out``.
+def pairwise_sq_dists(x, sq_norms, rows, cols, buf: np.ndarray) -> np.ndarray:
+    """Gram keys |x_j|^2 - 2 x_i.x_j of nodes i in ``rows`` against nodes j in ``cols``.
 
     Row i's keys are its squared distances less |x_i|^2, so they rank its nodes
-    alike; the name stays because ``perfbench/spans.py`` wraps it. Callers pass
-    validated input: a finite n x d float matrix ``x``, its ``sq_norms =
-    np.sum(x * x, axis=1)``, and a C-contiguous float64 array ``out`` of shape
-    (rows, n) with start + rows <= n. -2.0 * a.b is exact, and scaled after the
-    product so that x @ x.T keeps NumPy's symmetric path. BLAS may sum in any
-    order; ``inference._nearest`` bounds the rounding.
+    alike; the name stays because ``perfbench/spans.py`` wraps it. ``rows`` and
+    ``cols`` are each a slice of x's rows, read in place, or an array of node
+    ids, whose features are gathered into ``buf``. The keys are written into
+    the head of ``buf``, a flat float64 array, and returned as a (rows, cols)
+    view of it; gathered columns follow them, then gathered rows, so ``buf``
+    holds rows * cols floats plus d per gathered node. When ``rows is cols`` the
+    nodes are gathered once. Callers pass validated input: a finite n x d float
+    matrix ``x`` and its ``sq_norms = np.sum(x * x, axis=1)``. -2.0 * a.b is
+    exact, and scaled after the product so that a product of a block with
+    itself, x @ x.T among them, keeps NumPy's symmetric path. BLAS may sum in
+    any order; ``inference._nearest`` bounds the rounding.
     """
-    stop = start + len(out)
-    np.matmul(x[start:stop], x.T, out=out)
-    out *= -2.0
-    out += sq_norms
-    return out
+    n, d = x.shape
+    h, w = (len(range(n)[i]) if isinstance(i, slice) else len(i) for i in (rows, cols))
+    keys, at = buf[: h * w].reshape(h, w), h * w
+    if isinstance(cols, slice):
+        b = x[cols]
+    else:
+        b, at = np.take(x, cols, axis=0, out=buf[at : at + w * d].reshape(w, d)), at + w * d
+    if rows is cols:
+        a = b
+    elif isinstance(rows, slice):
+        a = x[rows]
+    else:
+        a = np.take(x, rows, axis=0, out=buf[at : at + h * d].reshape(h, d))
+    np.matmul(a, b.T, out=keys)
+    keys *= -2.0
+    keys += sq_norms[cols]
+    return keys

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feature_matrices
@@ -356,10 +356,10 @@ class TestBlockedSearch:
         half = 4 * (x.shape[1] + 5) * (np.finfo(float).eps / 2) * (sq + sq.max())
         rng = np.random.default_rng(n)
 
-        def noisy(x, sq_norms, start, out):
-            pairwise_sq_dists(x, sq_norms, start, out)
-            out += rng.uniform(-1.0, 1.0, out.shape) * half[start : start + len(out), None]
-            return out
+        def noisy(x, sq_norms, rows, cols, buf):
+            keys = pairwise_sq_dists(x, sq_norms, rows, cols, buf)
+            keys += rng.uniform(-1.0, 1.0, keys.shape) * half[rows, None]
+            return keys
 
         monkeypatch.setattr(inference, "pairwise_sq_dists", noisy)
         cs = generate_candidates(x, sizes)
@@ -396,13 +396,68 @@ class TestBlockedSearch:
             cs = generate_candidates(x, [3, 8])
             assert (len(cs), _pool_digest(cs)) == (size, digest)
 
+    def test_norm_bands_prune_the_planted_mixed_search(self, monkeypatch):
+        # Nearly every node of the planted n=3000 {3: 300, 8: 300} case is
+        # covered, so most rows are searched only against their norm band: the
+        # keys of the seed, the bands and the unbanded rows came to 0.24 n^2,
+        # against n^2 for a search of every row against every node.
+        x = make_dataset(
+            SynthConfig(n=3000, edge_spec={3: 300, 8: 300}, target_overlap=0.3, dim=128, seed=0)
+        ).x_nodes
+        computed = []
+
+        def counted(*args):
+            keys = pairwise_sq_dists(*args)
+            computed.append(keys.size)
+            return keys
+
+        monkeypatch.setattr(inference, "pairwise_sq_dists", counted)
+        cs = generate_candidates(x, [3, 8])
+        assert (len(cs), _pool_digest(cs)) == (3478, "48a94955ff112b04")
+        assert sum(computed) < 0.3 * len(x) ** 2
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_multi_chunk_pools_match_the_oracle(self, data):
+        # Inputs of several row chunks, where the norm bands apply: exact ties
+        # (integer features), repeated rows, a 1e8 offset on one column, row
+        # scales spread over e^-20..e^20, and equal norms (every row a signed
+        # permutation of one row), with sizes up to k = n - 1 and k = n.
+        n = data.draw(st.integers(513, 1500), label="n")
+        d = data.draw(st.integers(1, 8), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        ties, repeats, offset, scales, equal = (
+            data.draw(st.booleans(), label=what)
+            for what in ("ties", "repeats", "offset", "scales", "equal norms")
+        )
+        x = rng.integers(0, 3, size=(n, d)).astype(float) if ties else rng.normal(size=(n, d))
+        if equal:
+            signs = rng.choice([-1.0, 1.0], size=(n, d))
+            x = signs * x[0][np.argsort(rng.random((n, d)), axis=1)]
+        if repeats:
+            x = x[rng.integers(0, max(1, n // 4), size=n)]
+        if scales:
+            x *= np.exp(rng.uniform(-20.0, 20.0, size=(n, 1)))
+        if offset:
+            x[:, 0] += 1e8
+        sizes = data.draw(
+            st.sets(st.integers(2, 70), min_size=1, max_size=3)
+            | st.sampled_from([{n}, {n - 1}, {3, n - 1}]),
+            label="sizes",
+        )
+        cs = generate_candidates(x, sizes)
+        assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, sizes)
+
     @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4), (2000, 1000)])
     def test_memory_stays_within_a_few_chunks(self, n, d):
         # One chunk buffer and one ranking sub-block's partition indices,
-        # plus O(n max size) for the pool. The peaks were 1.47,
-        # 1.48 and 1.41 chunks for the three cases; the bound leaves 19%, 35%
-        # and 16% over them. Comparing whole sorted pool rows for duplicates,
-        # not a column at a time, peaked at 1.92 at n=16000. Ranking a whole
+        # plus O(n max size) for the pool. n=16000, d=4 searches a third of
+        # its rows against norm bands gathered into the buffer, and holds a
+        # few n-long arrays for them. The peaks were 1.43, 1.63 and 1.37
+        # chunks for the three cases (1.41, 1.45 and 1.34 with no bands); the
+        # bound leaves 22%, 23% and 19% over them. Comparing whole sorted pool
+        # rows for duplicates, not a column at a time, peaked at 1.92 at
+        # n=16000. Ranking a whole
         # chunk at once peaked at 2.30, 2.43 and 2.24 chunks, a second, scratch
         # buffer above 3. Nothing grows with a fixed block of rows (a 512-row block
         # peaked at 18 MB at n=4000) or with n x d (squaring the whole matrix

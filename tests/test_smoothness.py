@@ -36,7 +36,8 @@ def _score(edge, x, variant=MAX):
 def _sq_dists(x, start, stop):
     """Rows [start, stop) from the row-chunk kernel, in fresh buffers, plus each row's |x_i|^2."""
     sq = np.sum(x * x, axis=1)
-    return pairwise_sq_dists(x, sq, start, np.empty((stop - start, len(x)))) + sq[start:stop, None]
+    buf = np.empty((stop - start) * len(x))
+    return pairwise_sq_dists(x, sq, slice(start, stop), slice(None), buf) + sq[start:stop, None]
 
 
 def _full_sq_dists(x):
@@ -309,12 +310,33 @@ class TestPairwiseDistances:
         sq = np.sum(x * x, axis=1)
         height = row_chunks(n)[0][1]
         assert 1 < height < n
-        dist = np.full((n, n), np.nan)
+        dist = np.full(n * n, np.nan)
         ranges = [(0, n), (0, 1), (3, 3 + 2 * height + 5), (n - height - 1, n), *row_chunks(n)]
         for a, b in ranges:
             want = -2.0 * (x[a:b] @ x.T) + sq[None, :]
-            got = pairwise_sq_dists(x, sq, a, dist[: b - a])
+            got = pairwise_sq_dists(x, sq, slice(a, b), slice(None), dist)
             assert np.shares_memory(got, dist) and got.tobytes() == want.tobytes(), (a, b)
+
+    def test_node_ids_are_gathered_into_the_buffer_after_the_keys(self):
+        # Columns, then rows, given as ids are copied into the buffer behind the
+        # keys, which it must hold exactly; a block against itself is copied once.
+        x = np.random.default_rng(20).normal(size=(40, 6)) * 3.7
+        sq = np.sum(x * x, axis=1)
+        rows, cols = np.array([5, 2, 39, 7]), np.arange(31, 3, -3)
+        h, w, d = len(rows), len(cols), x.shape[1]
+        block = x[cols]  # against itself, as the kernel multiplies it: one operand
+        cases = [
+            (rows, cols, h * w + (h + w) * d, x[rows], x[cols]),
+            (rows, slice(3, 20), h * 17 + h * d, x[rows], x[3:20]),
+            (slice(10, 14), cols, h * w + w * d, x[10:14], x[cols]),
+            (cols, cols, w * w + w * d, block, block),
+        ]
+        for r, c, size, a, b in cases:
+            buf = np.full(size, np.nan)
+            got = pairwise_sq_dists(x, sq, r, c, buf)
+            want = -2.0 * (a @ b.T) + sq[c]
+            assert np.shares_memory(got, buf) and got.tobytes() == want.tobytes()
+            assert not np.isnan(buf).any()
 
     @given(st.integers(2, 10**7))
     def test_row_chunks_cover_the_rows_in_near_equal_gemm_sized_chunks(self, n):
