@@ -8,7 +8,7 @@ with paired seeds, so differences along the axis are not seed noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -75,8 +75,7 @@ def run_protocol(
         dim=dim,
         seed=seed,
     )
-    # The key holds a copy: the result hands out cfg, whose edge_spec is a dict.
-    key = (replace(cfg), normalize)
+    key = (cfg, normalize)
     kept, _dataset = _dataset, None
     if kept is None or kept[0] != key:
         kept = None  # the old features are freed before the new ones are made
@@ -88,7 +87,7 @@ def run_protocol(
     _dataset = kept
     truth, achieved_overlap, x = kept[1]
     cs, pred = infer_hypergraph(
-        x, sorted(cfg.edge_spec), PerSize(cfg.edge_spec), variant=variant
+        x, list(cfg.edge_spec), PerSize(cfg.edge_spec), variant=variant
     )
     return ProtocolResult(
         config=cfg,

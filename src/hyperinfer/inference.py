@@ -192,7 +192,7 @@ def _nearest(gram: np.ndarray, x: np.ndarray, rows, cols, own, ks: tuple, bound:
     (direct distance, node id). If ``cols`` has only r other nodes, the (r+1)-th
     key is the row's own inf. So a row's neighbours are a function of the
     features alone, whenever ``cols`` holds every node whose key can come within
-    B_i of the row's r-th: every node, or the row's norm band (``_bands``).
+    B_i of the row's r-th: every node, or the row's band (``_bands``).
     """
     r = ks[-1] - 1
     gram[np.arange(len(gram)), own] = np.inf  # each row's own node
@@ -214,78 +214,142 @@ def _nearest(gram: np.ndarray, x: np.ndarray, rows, cols, own, ks: tuple, bound:
     return nearest
 
 
-# The norm-band seed takes blocks of SEED_ROWS norm-adjacent nodes; one block in
-# SEED_SAMPLE is seeded first, to see whether bands pay.
+# The band seed takes blocks of SEED_ROWS key-adjacent nodes; one block in
+# SEED_SAMPLE is seeded first, to see whether bands pay. A row is banded only
+# if its band fits the chunk buffer with the keys and features of GATHERED rows.
 SEED_ROWS, SEED_SAMPLE = 64, 16
+GATHERED = SEED_ROWS // 2
+# The principal axis comes from at most AXIS_ROWS low-norm rows, by AXIS_STEPS power steps.
+AXIS_ROWS, AXIS_STEPS = 512, 8
+
+
+def _axis(x, sq_norms, buf: np.ndarray) -> np.ndarray | None:
+    """The top principal axis of a sample of low-norm rows, as a unit vector; None if flat.
+
+    The sample is at most min(``AXIS_ROWS``, ``BUFFER_BYTES`` / (64 d)) rows,
+    taken at a fixed stride from the rows whose |x|^2 is at most the median, so
+    it needs no generator; uncovered nodes have large norms and would set the
+    axis otherwise. It is gathered into the head of ``buf`` and centred in
+    place, scaled so that its longest row has length 1, and ``AXIS_STEPS``
+    power steps start from that row. Any unit vector gives an exact band
+    (``_bands``), so the steps need not converge, and the bits of the axis may
+    change with the BLAS.
+    """
+    n, d = x.shape
+    # The lower middle value selects the same rows as the median; np.median would import numpy.ma.
+    low = np.flatnonzero(sq_norms <= np.partition(sq_norms, (n - 1) // 2)[(n - 1) // 2])
+    m = min(AXIS_ROWS, BUFFER_BYTES // (64 * d), len(low))
+    if m < 2:
+        return None
+    rows = low[:: -(-len(low) // m)]
+    s = np.take(x, rows, axis=0, out=buf[: len(rows) * d].reshape(-1, d), mode="clip")
+    s -= s.mean(axis=0)
+    lengths = np.einsum("ij,ij->i", s, s)
+    top = int(np.argmax(lengths))
+    if not lengths[top] > 0.0:
+        return None
+    s /= np.sqrt(lengths[top])
+    u = s[top].copy()
+    for _ in range(AXIS_STEPS):  # |u| >= 1 before each division, so nothing overflows or vanishes
+        u = s.T @ (s @ u)
+        u /= np.sqrt(u @ u)
+    return u
 
 
 def _bands(x, sq_norms, bounds, r: int, buf: np.ndarray, height: int):
-    """Blocks (rows, cols, own) of rows to search against their norm bands ``cols`` alone.
+    """Blocks (rows, cols, own) of rows to search against their bands ``cols`` alone.
 
-    (|x_i| - |x_j|)^2 <= |x_i - x_j|^2 (the projection bound of Friedman, Baskett
-    & Shustek, IEEE Trans. Computers, 1975), so row i needs only the nodes whose
-    norm lies within sqrt(D_i) of |x_i|, for any D_i that bounds every distance
-    ``_nearest`` can look at. The nodes are ordered by norm, and each block of
-    ``SEED_ROWS`` of them gets its keys among itself: the seed. With s_i a row's
-    r-th smallest seed key to another node, D_i = s_i + |x_i|^2 + 2 B_i. A key
-    errs by at most B_i / 4 (``_nearest``), so the band's r-th key is at most
-    s_i + B_i / 2, and a node whose key comes within B_i of that lies within
-    s_i + |x_i|^2 + 7 B_i / 4 of x_i. The band radius sqrt(D_i) is padded by
-    sqrt(B_i), far more than the rounding of the norms and the comparisons.
+    A band is taken along a key t: the norm, t_i = |x_i|, or the projection
+    t_i = u.x_i on a unit axis u (``_axis``). |t_i - t_j| <= |x_i - x_j| for
+    either key (the projection bound of Friedman, Baskett & Shustek, IEEE
+    Trans. Computers, 1975, holds for any unit u), so row i needs only the
+    nodes whose key lies within sqrt(D_i) of t_i, for any D_i that bounds every
+    distance ``_nearest`` can look at. The nodes are ordered by key, and each
+    block of ``SEED_ROWS`` of them gets its keys among itself: the seed. With
+    s_i a row's r-th smallest seed key to another node, D_i = s_i + |x_i|^2 +
+    2 B_i. A key errs by at most B_i / 4 (``_nearest``), so the band's r-th key
+    is at most s_i + B_i / 2, and a node whose key comes within B_i of that lies
+    within s_i + |x_i|^2 + 7 B_i / 4 of x_i. The band radius sqrt(D_i) is padded
+    by sqrt(B_i) >= sqrt(8 (d + 5) eps) max_j |x_j|, for unit roundoff eps.
+    That is far more than the rounding of the norms and the comparisons, and
+    than that of u.x, at most d eps |x_i| per key (Higham's dot-product bound,
+    in any summation order) plus as much again for |u| = 1 + O(d eps). So any
+    u, with any BLAS bits, gives the same pool.
 
-    A row is banded if its band fits ``buf`` (the chunk buffer, ``height``
-    rows by n) with the keys and the gathered features of as many rows as take
-    an eighth of ``BUFFER_BYTES``, at most ``height``. Banded rows go in order of
-    band start, as many to a block (at most ``height``) as ``buf`` holds with the
-    union of their bands, keys and features gathered; ``cols`` is that union as
-    node ids in norm order, and ``own`` each row's own column in it. Also
-    returned is the mask of the rows left, to search against every node.
+    A row is banded if its band holds at most n / 2 nodes, so that it saves at
+    least half of the row's keys, and fits ``buf`` (the chunk buffer, ``height``
+    rows by n) with the keys and the gathered features of ``GATHERED`` rows:
+    a band of w nodes and g rows take (g + d) w + g d floats, so w is at most
+    (len(buf) - g d) / (g + d). At n=3000, d=128, g = 32 lets a band reach
+    0.52 n, where a whole chunk's 85 rows let it reach 0.38 n; fewer rows
+    gained nothing more. At n=1000 the buffer holds every band, and without
+    the n / 2 cap the norm banded rows that saved nothing but paid for their
+    gather. Banded rows go in order of band start, as many to a block (at
+    most ``height``) as ``buf`` holds with the union of their bands, keys and
+    features gathered; ``cols`` is that union as node ids in key order, and
+    ``own`` each row's own column in it. Also returned is the mask of the rows
+    left, to search against every node.
 
-    One seed block in ``SEED_SAMPLE`` is computed first; unless a quarter of
-    their rows are banded, no row is, and ``([], None)`` is returned. The whole
-    seed costs about ``SEED_ROWS`` / n of the keys of a search with no bands,
-    and a banded row saves most of its keys, so a quarter of the rows repays
-    it; inputs whose norms do not separate pay only the sample. ``([], None)``
-    is also returned if r >= ``SEED_ROWS``, or if no band of r + 1 nodes or no
-    seed block fits.
+    One seed block in ``SEED_SAMPLE`` is computed first, along the norm. If
+    fewer than half of its rows are banded, the same blocks are seeded along
+    the axis, and the key that bands more of them is kept (the norm on a tie).
+    Unless a quarter of the sampled rows are banded, no row is, and ``([],
+    None)`` is returned. The whole seed costs about ``SEED_ROWS`` / n of the
+    keys of a search with no bands, and a banded row saves at least half of
+    its keys, so a quarter of the rows repays it; inputs that band along
+    neither key pay only the samples. ``([], None)`` is also returned if r >=
+    ``SEED_ROWS``, or if no band of r + 1 nodes or no seed block fits.
     A block of fewer than r + 1 nodes at the end has no seed, so its rows
     are not banded.
     """
     n, d = x.shape
     cap = len(buf)
-    gathered = min(height, max(1, BUFFER_BYTES // (64 * d)))
-    widest = (cap - gathered * d) // (gathered + d)  # the widest band that fits with them
+    gathered = min(height, GATHERED)
+    widest = min(n // 2, (cap - gathered * d) // (gathered + d))  # the widest band to search
     if r >= min(SEED_ROWS, widest) or SEED_ROWS * (SEED_ROWS + d) > cap:
         return [], None
-    order = np.argsort(sq_norms)  # any order of equal norms will do
-    norms, seed = np.sqrt(sq_norms[order]), np.full(n, np.inf)
+    starts = range(0, n - r, SEED_ROWS)  # the blocks with r other nodes
+    sample = min(SEED_SAMPLE, len(starts)) // 2
 
-    def plant_seed(starts):
+    def along(key):  # the nodes in key order (any order of equal keys will do), their keys, seeds
+        order = np.argsort(key)
+        return order, key[order], np.full(n, np.inf)
+
+    def plant_seed(order, seed, starts):
         for a in starts:
             at = order[a : a + SEED_ROWS]
             keys = pairwise_sq_dists(x, sq_norms, at, at, buf)
             np.fill_diagonal(keys, np.inf)
             seed[a : a + SEED_ROWS] = np.partition(keys, r - 1, axis=1)[:, r - 1]
 
-    def bands(at):  # the first norm position and the width of the bands at positions ``at``
+    def bands(order, keys, seed, at):  # the first key position and the width of the bands at ``at``
         with np.errstate(over="ignore"):
             slack = bounds[order[at]]
             radius = np.sqrt(seed[at] + sq_norms[order[at]] + 2 * slack) + np.sqrt(slack)
-            lo = np.searchsorted(norms, norms[at] - radius, side="left")
-            return lo, np.searchsorted(norms, norms[at] + radius, side="right") - lo
+            lo = np.searchsorted(keys, keys[at] - radius, side="left")
+            return lo, np.searchsorted(keys, keys[at] + radius, side="right") - lo
 
-    starts = range(0, n - r, SEED_ROWS)  # the blocks with r other nodes
-    sample = min(SEED_SAMPLE, len(starts)) // 2
-    plant_seed(starts[sample::SEED_SAMPLE])
-    sampled = np.flatnonzero(seed < np.inf)
-    if 4 * np.count_nonzero(bands(sampled)[1] <= widest) < len(sampled):
+    def banded_sample(order, keys, seed):  # how many rows of the sampled seed blocks are banded
+        plant_seed(order, seed, starts[sample::SEED_SAMPLE])
+        at = np.flatnonzero(seed < np.inf)
+        return np.count_nonzero(bands(order, keys, seed, at)[1] <= widest), len(at)
+
+    key = along(np.sqrt(sq_norms))
+    hits, sampled = banded_sample(*key)
+    if 2 * hits < sampled and (u := _axis(x, sq_norms, buf)) is not None:
+        projected = along(x @ u)
+        projected_hits = banded_sample(*projected)[0]
+        if projected_hits > hits:
+            key, hits = projected, projected_hits
+    if 4 * hits < sampled:
         return [], None
-    plant_seed(a for i, a in enumerate(starts) if i % SEED_SAMPLE != sample)
-    lo, width = bands(slice(None))
+    order, keys, seed = key
+    plant_seed(order, seed, (a for i, a in enumerate(starts) if i % SEED_SAMPLE != sample))
+    lo, width = bands(order, keys, seed, slice(None))
     banded = np.flatnonzero(width <= widest)
     banded = banded[np.argsort(lo[banded], kind="stable")]
     hi = lo + width
-    del norms, seed, width
+    del key, keys, seed, width
     blocks, first = [], 0
     for t, (start, stop) in enumerate(zip(lo[banded].tolist(), hi[banded].tolist())):
         if t > first:
@@ -308,8 +372,9 @@ def _bands(x, sq_norms, bounds, r: int, buf: np.ndarray, height: int):
 def _search(x, sq_norms, bounds, ks: tuple) -> np.ndarray:
     """Each node's max(ks)-1 nearest neighbours, after the node itself, one row per node.
 
-    The banded rows come first, a block at a time against its bands
-    (``_bands``); the rows left then go in index order against every node:
+    The banded rows come first, a block at a time against its bands along
+    the norm or a principal axis (``_bands``); the rows left then go in index
+    order against every node:
     the ``row_chunks`` chunks as they are when no row is banded, else runs of
     as many rows as the buffer holds with their keys and gathered features.
     The one buffer is freed on return, before the pool is built.
@@ -339,20 +404,26 @@ def generate_candidates(x_nodes, sizes: Iterable[int]) -> CandidateSet:
 
     Distances are squared Euclidean, by direct differences (the scorer's).
     Equidistant neighbours resolve to the smaller node index, so the pool is a
-    function of the features alone, whatever the chunk height, the norm bands
-    or the BLAS. Duplicate node sets keep the first (size, anchor) pair that
-    produced them, and the result is ordered by size, then anchor.
+    function of the features alone, whatever the chunk height, the bands, the
+    axis they are taken along or the BLAS. Duplicate node sets keep the first
+    (size, anchor) pair that produced them, and the result is ordered by size,
+    then anchor.
 
     The features are validated once. The search holds one buffer of a
     ``row_chunks`` chunk's keys to all n nodes, about ``BUFFER_BYTES``, and
     every product goes through ``pairwise_sq_dists`` into it. With n <= 512
-    the one chunk is the full, symmetric product. Past that, the rows whose
-    norm band (``_bands``) fits the buffer, band and keys together, are
-    searched first, a block of them against the union of their bands,
-    gathered into the buffer. The other rows go in index order against every
-    node, read in place, a chunk at a time as with no bands, or, past banded
-    rows, gathered into the buffer a run at a time. Each block's rows
-    are partitioned in sub-blocks whose indices take at most a quarter of
+    the one chunk is the full, symmetric product. Past that, each row's band
+    is taken along one key for all rows, the norm |x_i| or the projection u.x_i
+    on the top principal axis u of a sample of low-norm rows, whichever bands
+    more rows of a seeded sample (``_bands``). |t_i - t_j| <= |x_i - x_j| for
+    either key t, since u is a unit vector, and the band's padding covers the
+    rounding of u.x, so any u gives the same pool. The rows whose band holds
+    at most n / 2 nodes and fits the buffer with the keys and features of
+    ``GATHERED`` rows are searched first, a block of them against the union of
+    their bands, gathered into the buffer. The other rows go in index order
+    against every node, read in place, a chunk at a time as with no bands, or,
+    past banded rows, gathered into the buffer a run at a time. Each block's
+    rows are partitioned in sub-blocks whose indices take at most a quarter of
     ``BUFFER_BYTES``, and their max(sizes)-1 nearest neighbours, reranked by
     direct differences at near-ties (``_nearest``), are kept before the next
     block is computed. It never holds an n x n matrix or an n x d copy, and

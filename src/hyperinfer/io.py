@@ -160,7 +160,7 @@ def write_manifest(path, cfg: SynthConfig, achieved_overlap: float, version: str
     """Record every parameter needed to regenerate a dataset, plus the outcome."""
     payload = {
         "n": cfg.n,
-        "edge_spec": {str(k): c for k, c in sorted(cfg.edge_spec.items())},
+        "edge_spec": {str(k): c for k, c in cfg.edge_spec.items()},
         "target_overlap": cfg.target_overlap,
         "achieved_overlap": achieved_overlap,
         "sigma": cfg.sigma,

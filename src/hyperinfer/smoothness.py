@@ -142,7 +142,9 @@ def pairwise_sq_dists(x, sq_norms, rows, cols, buf: np.ndarray) -> np.ndarray:
     the head of ``buf``, a flat float64 array, and returned as a (rows, cols)
     view of it; gathered columns follow them, then gathered rows, so ``buf``
     holds rows * cols floats plus d per gathered node. When ``rows is cols`` the
-    nodes are gathered once. Callers pass validated input: a finite n x d float
+    nodes are gathered once. The ids are valid, so they are taken with
+    ``mode="clip"``: NumPy's default mode copies through a temporary as large as
+    the gathered features. Callers pass validated input: a finite n x d float
     matrix ``x`` and its ``sq_norms = np.sum(x * x, axis=1)``. -2.0 * a.b is
     exact, and scaled after the product so that a product of a block with
     itself, x @ x.T among them, keeps NumPy's symmetric path. BLAS may sum in
@@ -154,13 +156,14 @@ def pairwise_sq_dists(x, sq_norms, rows, cols, buf: np.ndarray) -> np.ndarray:
     if isinstance(cols, slice):
         b = x[cols]
     else:
-        b, at = np.take(x, cols, axis=0, out=buf[at : at + w * d].reshape(w, d)), at + w * d
+        out = buf[at : at + w * d].reshape(w, d)
+        b, at = np.take(x, cols, axis=0, out=out, mode="clip"), at + w * d
     if rows is cols:
         a = b
     elif isinstance(rows, slice):
         a = x[rows]
     else:
-        a = np.take(x, rows, axis=0, out=buf[at : at + h * d].reshape(h, d))
+        a = np.take(x, rows, axis=0, out=buf[at : at + h * d].reshape(h, d), mode="clip")
     np.matmul(a, b.T, out=keys)
     keys *= -2.0
     keys += sq_norms[cols]

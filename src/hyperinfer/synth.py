@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -37,7 +38,9 @@ class SynthConfig:
     """Recipe for one synthetic dataset.
 
     edge_spec maps hyperedge size to how many edges of that size to plant,
-    e.g. {8: 12} for a uniform hypergraph. dim defaults to a desk-scale value;
+    e.g. {8: 12} for a uniform hypergraph. It is held as a read-only mapping
+    ordered by size, so a config is hashable and equal specs hash alike
+    whatever order they were given in. dim defaults to a desk-scale value;
     benchmark runs pass the full fidelity dimension explicitly.
     """
 
@@ -56,7 +59,7 @@ class SynthConfig:
             spec[k] = whole(c, f"edge count for size {k}", 1)
         if not spec:
             raise DomainError("edge_spec must request at least one hyperedge")
-        object.__setattr__(self, "edge_spec", spec)
+        object.__setattr__(self, "edge_spec", MappingProxyType(dict(sorted(spec.items()))))
         overlap = real(self.target_overlap, "target overlap")
         if not 0.0 <= overlap < 1.0:
             raise DomainError(f"target overlap must lie in [0, 1), got {self.target_overlap}")
@@ -65,6 +68,14 @@ class SynthConfig:
         model = GaussianModelConfig(sigma=self.sigma, dim=self.dim, seed=self.seed)
         for name in ("sigma", "dim", "seed"):
             object.__setattr__(self, name, getattr(model, name))
+
+    def __hash__(self):
+        spec = tuple(self.edge_spec.items())
+        return hash((self.n, spec, self.target_overlap, self.sigma, self.dim, self.seed))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; its dict can
+        spec = dict(self.edge_spec)
+        return SynthConfig, (self.n, spec, self.target_overlap, self.sigma, self.dim, self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,14 +317,14 @@ def generate_ground_truth(cfg: SynthConfig) -> Hypergraph:
     """
     if max(cfg.edge_spec) > cfg.n:
         raise InfeasibleError(f"hyperedge size {max(cfg.edge_spec)} does not fit in {cfg.n} nodes")
-    for k, count in sorted(cfg.edge_spec.items()):
+    for k, count in cfg.edge_spec.items():
         distinct = _distinct_edges(cfg.n, k, count)
         if distinct < count:
             raise InfeasibleError(
                 f"cannot plant {count} distinct hyperedges of size {k}: "
                 f"{cfg.n} nodes hold only {distinct}"
             )
-    edge_sizes = [k for k in sorted(cfg.edge_spec) for _ in range(cfg.edge_spec[k])]
+    edge_sizes = [k for k, count in cfg.edge_spec.items() for _ in range(count)]
     target = cfg.target_overlap
     best_gap = np.inf
     skipped = []

@@ -123,7 +123,9 @@ class TestDatasetReuse:
 
     def test_changing_a_returned_config_does_not_change_the_kept_key(self, monkeypatch):
         result = run_protocol(**self.BASE)
-        result.config.edge_spec[4] = 4
+        with pytest.raises(TypeError):
+            result.config.edge_spec[4] = 4
+        assert experiments._dataset[0][0] is result.config
         calls = _count_synthesis(monkeypatch)
         second = run_protocol(**{**self.BASE, "edge_spec": {4: 4}})
         assert calls["datasets"] == 1 and second.truth.m == 4

@@ -272,6 +272,24 @@ def _tie_heavy(n, seed=3):
     return np.repeat(base, 4, axis=0)[:n][rng.permutation(n)]
 
 
+def _planted(n, spec, dim):
+    cfg = SynthConfig(n=n, edge_spec=spec, target_overlap=0.3, dim=dim, seed=0)
+    return make_dataset(cfg).x_nodes
+
+
+def _count_keys(monkeypatch):
+    """The sizes of every key block the search computes, appended as it runs."""
+    computed = []
+
+    def counted(*args):
+        keys = pairwise_sq_dists(*args)
+        computed.append(keys.size)
+        return keys
+
+    monkeypatch.setattr(inference, "pairwise_sq_dists", counted)
+    return computed
+
+
 def _pool_digest(cs):
     text = ";".join(f"{c.anchor}:{','.join(map(str, c.nodes))}" for c in cs.candidates)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -381,15 +399,12 @@ class TestBlockedSearch:
         # features, where a GEMM of another height may round a few distances
         # differently. A change to the planter or the sampler re-records them
         # from an unchanged search.
-        def planted(n, spec, dim):
-            cfg = SynthConfig(n=n, edge_spec=spec, target_overlap=0.3, dim=dim, seed=0)
-            return make_dataset(cfg).x_nodes
-
         cases = [
             (_tie_heavy(1025), 844, "7853c9558edba924"),
-            (planted(1100, {3: 60, 8: 60}, 64), 1692, "2d8e4bc607633231"),
-            (planted(3000, {3: 300, 8: 300}, 128), 3478, "48a94955ff112b04"),
-            (planted(1100, {3: 60, 8: 60}, 1000), 1673, "18f5bda34218e913"),
+            (_planted(1100, {3: 60, 8: 60}, 64), 1692, "2d8e4bc607633231"),
+            (_planted(1100, {8: 100}, 64), 1737, "de9333e3ec41c1f7"),
+            (_planted(3000, {3: 300, 8: 300}, 128), 3478, "48a94955ff112b04"),
+            (_planted(1100, {3: 60, 8: 60}, 1000), 1673, "18f5bda34218e913"),
             (np.random.default_rng(0).normal(size=(1100, 1000)), 2199, "5c6f50c298d6d698"),
         ]
         for x, size, digest in cases:
@@ -401,25 +416,35 @@ class TestBlockedSearch:
         # covered, so most rows are searched only against their norm band: the
         # keys of the seed, the bands and the unbanded rows came to 0.24 n^2,
         # against n^2 for a search of every row against every node.
-        x = make_dataset(
-            SynthConfig(n=3000, edge_spec={3: 300, 8: 300}, target_overlap=0.3, dim=128, seed=0)
-        ).x_nodes
-        computed = []
-
-        def counted(*args):
-            keys = pairwise_sq_dists(*args)
-            computed.append(keys.size)
-            return keys
-
-        monkeypatch.setattr(inference, "pairwise_sq_dists", counted)
+        x = _planted(3000, {3: 300, 8: 300}, 128)
+        computed = _count_keys(monkeypatch)
         cs = generate_candidates(x, [3, 8])
         assert (len(cs), _pool_digest(cs)) == (3478, "48a94955ff112b04")
         assert sum(computed) < 0.3 * len(x) ** 2
 
+    def test_axis_bands_prune_the_planted_uniform_search(self, monkeypatch):
+        # The planted n=3000 {8: 300} case bands no row along the norm, whose
+        # values do not separate when one tree of edges couples every node; the
+        # principal axis bands about two thirds of them. The keys came to 0.58
+        # n^2, against n^2 with norm bands alone, and the pool was recorded with
+        # the norm bands, whose search here is every row against every node.
+        x = _planted(3000, {8: 300}, 128)
+        computed = _count_keys(monkeypatch)
+        cs = generate_candidates(x, [8])
+        assert (len(cs), _pool_digest(cs)) == (1687, "c11bbf88405512c2")
+        assert sum(computed) < 0.62 * len(x) ** 2
+
+    def test_a_planted_uniform_pool_matches_the_oracle(self):
+        # The axis bands the rows of this input (n=1100, {8: 100}, d=64), with
+        # five chunks, so banded blocks and gathered runs both apply.
+        x = _planted(1100, {8: 100}, 64)
+        cs = generate_candidates(x, [3, 8])
+        assert [(c.nodes, c.anchor) for c in cs.candidates] == _oracle_pool(x, [3, 8])
+
     @settings(max_examples=25)
     @given(st.data())
     def test_multi_chunk_pools_match_the_oracle(self, data):
-        # Inputs of several row chunks, where the norm bands apply: exact ties
+        # Inputs of several row chunks, where the bands apply: exact ties
         # (integer features), repeated rows, a 1e8 offset on one column, row
         # scales spread over e^-20..e^20, and equal norms (every row a signed
         # permutation of one row), with sizes up to k = n - 1 and k = n.
@@ -451,11 +476,11 @@ class TestBlockedSearch:
     @pytest.mark.parametrize("n, d", [(4000, 16), (16000, 4), (2000, 1000)])
     def test_memory_stays_within_a_few_chunks(self, n, d):
         # One chunk buffer and one ranking sub-block's partition indices,
-        # plus O(n max size) for the pool. n=16000, d=4 searches a third of
-        # its rows against norm bands gathered into the buffer, and holds a
-        # few n-long arrays for them. The peaks were 1.43, 1.63 and 1.37
+        # plus O(n max size) for the pool. n=16000, d=4 searches 30% of its
+        # rows against bands along a principal axis, gathered into the
+        # buffer, and holds a few n-long arrays for them. The peaks were 1.43, 1.63 and 1.35
         # chunks for the three cases (1.41, 1.45 and 1.34 with no bands); the
-        # bound leaves 22%, 23% and 19% over them. Comparing whole sorted pool
+        # bound leaves 22%, 23% and 20% over them. Comparing whole sorted pool
         # rows for duplicates, not a column at a time, peaked at 1.92 at
         # n=16000. Ranking a whole
         # chunk at once peaked at 2.30, 2.43 and 2.24 chunks, a second, scratch

@@ -242,6 +242,17 @@ class TestManifest:
             "version": "0.1.0",
         }
 
+    def test_manifest_bytes_do_not_depend_on_the_spec_order(self, tmp_path):
+        expected = (
+            '{\n  "achieved_overlap": 0.1875,\n  "dim": 16,\n  "edge_spec": {\n'
+            '    "10": 1,\n    "4": 3,\n    "6": 2\n  },\n  "n": 60,\n  "seed": 9,\n'
+            '  "sigma": 0.001,\n  "target_overlap": 0.2,\n  "version": "0.1.0"\n}\n'
+        )
+        for spec in ({10: 1, 4: 3, 6: 2}, {4: 3, 6: 2, 10: 1}):
+            path = tmp_path / "manifest.json"
+            write_manifest(path, SynthConfig(60, spec, 0.2, dim=16, seed=9), 0.1875, "0.1.0")
+            assert path.read_text() == expected
+
     def test_numpy_integers_are_written_as_json_integers(self, tmp_path):
         cfg = SynthConfig(
             np.int64(60), {np.int32(4): np.uint8(3)}, 0.2, dim=np.int32(16), seed=np.int16(9)

@@ -1,7 +1,9 @@
 """Synthetic ground truth with controlled overlap, and its sampled features."""
 
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,25 @@ class TestSynthConfig:
         assert cfg.edge_spec == {8: 3}
         assert cfg.sigma == 1e-3
         assert cfg.seed == 0
+
+    def test_equal_specs_in_any_order_hash_and_compare_equal(self):
+        a = SynthConfig(100, {8: 12, 3: 4}, 0.3)
+        b = SynthConfig(100, {3: 4, 8: 12}, 0.3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert list(a.edge_spec.items()) == [(3, 4), (8, 12)]
+        assert hash(SynthConfig(100, {8: 12}, 0.3)) != hash(SynthConfig(100, {8: 11}, 0.3))
+
+    def test_edge_spec_is_read_only(self):
+        cfg = SynthConfig(100, {8: 12}, 0.3)
+        with pytest.raises(TypeError):
+            cfg.edge_spec[3] = 99
+        assert cfg.edge_spec == {8: 12}
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        cfg = SynthConfig(100, {8: 12, 3: 4}, 0.3, sigma=0.01, dim=16, seed=5)
+        for copied in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert copied == cfg and hash(copied) == hash(cfg)
+            assert list(copied.edge_spec.items()) == [(3, 4), (8, 12)]
 
     @pytest.mark.parametrize(
         "spec", [{}, {1: 3}, {8: 0}, {8: -1}]
@@ -294,9 +315,15 @@ class TestGenerateGroundTruth:
         # zero-sharing trial; every attempt bisects to the end, and over a
         # thousand trials are skipped from their counts with only a gap floor
         # (their plants can get stuck), so the closest gap needs full replants.
-        cfg = SynthConfig(n=60, edge_spec={3: 10, 5: 8}, target_overlap=0.05, seed=0)
-        with pytest.raises(InfeasibleError, match=r"closest gap over 50 attempts was 0\.217$"):
-            generate_ground_truth(cfg)
+        # The spec is named in size order, however it was given.
+        for spec in ({3: 10, 5: 8}, {5: 8, 3: 10}):
+            cfg = SynthConfig(n=60, edge_spec=spec, target_overlap=0.05, seed=0)
+            with pytest.raises(InfeasibleError) as info:
+                generate_ground_truth(cfg)
+            assert str(info.value) == (
+                "could not reach overlap 0.05 within 0.05 for n=60, edges {3: 10, 5: 8}; "
+                "closest gap over 50 attempts was 0.217"
+            )
 
     @pytest.mark.parametrize(
         "n, spec, target, zero_planted",
