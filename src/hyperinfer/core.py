@@ -141,6 +141,17 @@ def build_hypergraph(
     return Hypergraph(n=n, edges=tuple(canon), weights=wts)
 
 
+def edge_arrays(edges: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat node ids of ``edges``, edge after edge, and each edge's size, as np.intp.
+
+    These are the CSC arrays of the incidence without its values: edge i's
+    nodes are the ``sizes[i]`` entries after those of edges 0 to i - 1, in the
+    order the edge holds them.
+    """
+    sizes = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+    return np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=sizes.sum()), sizes
+
+
 def incidence(h: Hypergraph) -> Any:
     """The sparse n x m incidence H, the one place edge lists become a matrix.
 
@@ -150,8 +161,7 @@ def incidence(h: Hypergraph) -> Any:
     """
     import scipy.sparse
 
-    sizes = np.fromiter(map(len, h.edges), dtype=np.intp, count=h.m)
-    nodes = np.fromiter(chain.from_iterable(h.edges), dtype=np.intp, count=sizes.sum())
+    nodes, sizes = edge_arrays(h.edges)
     weights = np.ones(h.m) if h.weights is None else np.asarray(h.weights, dtype=float)
     return scipy.sparse.csc_matrix(
         (np.repeat(weights, sizes), nodes, np.concatenate(([0], np.cumsum(sizes)))),

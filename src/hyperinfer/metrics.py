@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Hypergraph, incidence
+from .core import DomainError, Hypergraph, edge_arrays
 from .inference import CandidateSet
 
 
@@ -54,51 +54,51 @@ def f1_exact(pred: Hypergraph, truth: Hypergraph) -> MatchReport:
 def hgmse(pred: Hypergraph, truth: Hypergraph) -> float:
     """Squared incidence error after the best one-to-one column alignment.
 
-    Predicted and truth edges are matched to maximise total node-set
-    intersection; unmatched columns on either side pair with all-zero columns.
-    The squared difference of the aligned binary incidence matrices is then
-    scaled by the truth matrix's squared norm, so 0 means identical edge sets,
-    an empty prediction scores 1, and values above 1 are possible for badly
-    inflated predictions.
+    Edges are matched one to one to maximise the total node-set intersection;
+    an unmatched column pairs with an all-zero one. The squared difference of
+    the aligned binary incidences over the truth's squared norm is 0 for
+    identical edge sets and 1 for an empty prediction, and can exceed 1 for
+    badly inflated predictions. Weights are never read.
 
-    The intersections |e & f| are the sparse product Hp^T Ht, formed only
-    for pairs that share a node and over only the nodes some edge holds, so
-    memory grows with those pairs, not with m_pred x m_truth or with n. Both
-    factors hold ones in place of the weights: Hp^T is built as CSR straight
-    from the arrays of Hp's CSC incidence, and Ht as CSC. A pair weighs
-    |e & f| + 1 and each predicted edge also has its own dummy column of
-    weight 1: every predicted edge may stay unmatched, a full matching always
-    exists, and the matched intersection is the total weight less m_pred. The
-    weights are integers, so the value does not depend on which optimal
-    matching the solver returns.
+    An edge E on both sides pairs with itself in some best matching: if E-A
+    and B-E are matched instead (either may be the empty set), E-E and B-A
+    change the total by |E| + |A & B| - |E & A| - |E & B| >= 0. The rest's
+    |e & f| come from a sorted join of their flat (node, edge) arrays; a pair
+    whose edges have no other partner is matched as it stands. Only the pairs
+    left go to scipy's Jonker-Volgenant matching, with weights -(|e & f| + 1)
+    and a dummy column of weight -1 per row: exact integers, so every best
+    matching gives the same value.
     """
-    from scipy.sparse import csc_matrix, csr_array, csr_matrix
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
     _check_same_n(pred, truth)
     if truth.m == 0:
         raise DomainError("truth hypergraph has no hyperedges")
-    hp, ht = incidence(pred), incidence(truth)
-    # Relabel the nodes that some edge holds to 0..len(ids)-1, in order, so the
-    # product never builds an array over the declared n.
-    ids, inverse = np.unique(np.concatenate((hp.indices, ht.indices)), return_inverse=True)
-    hpt = csr_matrix((np.ones(hp.nnz), inverse[: hp.nnz], hp.indptr), shape=(pred.m, len(ids)))
-    ht = csc_matrix((np.ones(ht.nnz), inverse[hp.nnz :], ht.indptr), shape=(len(ids), truth.m))
-    inter = hpt @ ht
-    # Each row's dummy column goes after its shared pairs; weights are negated
-    # so that the minimum-weight matching is the maximum one.
-    m_pred, ends = pred.m, inter.indptr[1:]
-    g = csr_array(
-        (
-            np.insert(-1.0 - inter.data, ends, -1.0),
-            np.insert(inter.indices, ends, truth.m + np.arange(m_pred)),
-            inter.indptr + np.arange(m_pred + 1),
-        ),
-        shape=(m_pred, truth.m + m_pred),
-    )
-    rows, partners = min_weight_full_bipartite_matching(g)
-    matched = -g[rows, partners].sum() - m_pred
-    return float((hpt.nnz + ht.nnz - 2.0 * matched) / ht.nnz)
+    twins = set(pred.edges).intersection(truth.edges)
+    rest_p, rest_t = ([e for e in h.edges if e not in twins] for h in (pred, truth))
+    matched = sum(map(len, twins))
+    nnz_p, nnz_t = matched + sum(map(len, rest_p)), matched + sum(map(len, rest_t))
+    if rest_p and rest_t:
+        (nodes_p, sizes_p), (nodes_t, sizes_t) = edge_arrays(rest_p), edge_arrays(rest_t)
+        order = np.argsort(nodes_t)
+        # Predicted incidence i meets the sorted truth incidences lo[i] to hi[i] - 1.
+        lo, hi = (np.searchsorted(nodes_t[order], nodes_p, side) for side in ("left", "right"))
+        met = np.repeat(hi - np.cumsum(hi - lo), hi - lo) + np.arange((hi - lo).sum())
+        p = np.repeat(np.repeat(np.arange(len(rest_p)), sizes_p), hi - lo)
+        t = np.repeat(np.arange(len(rest_t)), sizes_t)[order][met]
+        codes, inter = np.unique(p * len(rest_t) + t, return_counts=True)
+        p, t = np.divmod(codes, len(rest_t))
+        lone = (np.bincount(p)[p] == 1) & (np.bincount(t)[t] == 1)
+        matched += int(inter[lone].sum())
+        if not lone.all():
+            from scipy.sparse import csgraph, csr_matrix
+            (rows, row), (cols, col) = (np.unique(v[~lone], return_inverse=True) for v in (p, t))
+            inter, ends = inter[~lone], np.cumsum(np.bincount(row))
+            data = np.insert(-1.0 - inter, ends, -1.0)
+            indices = np.insert(col, ends, len(cols) + np.arange(len(rows)))
+            indptr = np.concatenate(([0], ends)) + np.arange(len(rows) + 1)
+            r, c = csgraph.min_weight_full_bipartite_matching(csr_matrix((data, indices, indptr)))
+            hit = np.searchsorted(row * len(cols) + col, (r * len(cols) + c)[c < len(cols)])
+            matched += int(inter[hit].sum())
+    return float((nnz_p + nnz_t - 2.0 * matched) / nnz_t)
 
 
 def probability_separation(cs: CandidateSet, truth: Hypergraph) -> SeparationReport:

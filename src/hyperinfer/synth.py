@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    DomainError, Hypergraph, InfeasibleError, build_hypergraph, incidence, keyed_rng, real, whole,
+    DomainError, Hypergraph, InfeasibleError, build_hypergraph, edge_arrays, keyed_rng, real, whole,
 )
 from .probmodel import GaussianModelConfig, incidence_laplacian, sample_features
 
@@ -91,12 +91,12 @@ def overlap_rate(h: Hypergraph) -> tuple[np.ndarray, float]:
     """Per-edge fraction of nodes that sit in at least two edges, and its mean."""
     if h.m == 0:
         raise DomainError("hypergraph has no hyperedges")
-    inc = incidence(h)
+    nodes, sizes = edge_arrays(h.edges)
     # Degrees over the nodes the edges hold, not the declared n. Per edge, the
     # count of degree >= 2 over k is the float a boolean mask's mean gives.
-    _, where, degree = np.unique(inc.indices, return_inverse=True, return_counts=True)
-    shared = np.add.reduceat(degree[where] >= 2, inc.indptr[:-1], dtype=np.intp)
-    per_edge = shared / np.diff(inc.indptr)
+    _, where, degree = np.unique(nodes, return_inverse=True, return_counts=True)
+    shared = np.add.reduceat(degree[where] >= 2, np.cumsum(sizes) - sizes, dtype=np.intp)
+    per_edge = shared / sizes
     return per_edge, float(per_edge.mean())
 
 
@@ -142,17 +142,20 @@ def _draw_shared(
 def _draw_fresh(pool: list[int], live: int, count: int, rng: np.random.Generator) -> list[int]:
     """Take ``count`` nodes uniformly without replacement from ``pool[:live]``.
 
-    Draw j is an integer uniform on [0, live - j), with integer bounds: a
-    scaled float such as int(u * live) can round up to live. Each pick swaps
-    with the last live entry, so afterwards ``pool[:live - count]`` holds the
-    nodes not taken and the cost is O(count), whatever the pool's length.
+    Draw j is ``rng.integers(live - j)``, an integer uniform on [0, live - j)
+    with an integer bound: a scaled float such as int(u * live) can round up
+    to live. One scalar call per pick leaves the picks and the generator's
+    state as one call with the array of bounds did, at a fraction of its
+    fixed cost. Each pick swaps with the last live entry, so afterwards
+    ``pool[:live - count]`` holds the nodes not taken and the cost is
+    O(count), whatever the pool's length.
     """
     fresh = []
-    for pick in rng.integers(0, np.arange(live, live - count, -1)).tolist():
-        live -= 1
+    for last in range(live - 1, live - 1 - count, -1):
+        pick = rng.integers(last + 1)
         node = pool[pick]
-        pool[pick] = pool[live]
-        pool[live] = node
+        pool[pick] = pool[last]
+        pool[last] = node
         fresh.append(node)
     return fresh
 

@@ -1025,6 +1025,27 @@ for features in sys.argv[1:3]:
         # synth and eval use scipy, which shows that the probe sees it.
         assert loads_scipy == {"synth": True, "infer": False, "eval": True}
 
+    def test_eval_of_a_prediction_equal_to_its_truth_loads_no_scipy(self, tmp_path):
+        # hgmse pairs identical edges before any matching, so a prediction
+        # that equals its truth, weighted as predictions are, leaves nothing
+        # for scipy's matching and eval runs on numpy alone.
+        truth = build_hypergraph(9, [[0, 1, 2], [3, 4, 5], [2, 6, 7, 8]])
+        pred = build_hypergraph(9, truth.edges[::-1], weights=[0.9, 0.5, 1.0])
+        write_hypergraph(tmp_path / "truth.json", truth)
+        write_hypergraph(tmp_path / "pred.json", pred)
+        argv = ["eval", "--pred", "pred.json", "--truth", "truth.json", "--out", "metrics.json"]
+        proc = _run_python("-X", "importtime", "-m", "hyperinfer", *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "f1 1.0000  hgmse 0.0000" in proc.stdout
+        assert json.loads((tmp_path / "metrics.json").read_text())["hgmse"] == 0.0
+        imported = [
+            line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "hyperinfer.metrics" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             _run("--version")

@@ -126,8 +126,9 @@ class TestHgmse:
             )
 
     def test_equals_the_dense_assignment_bit_for_bit(self):
-        # Cycles identical sides, disjoint sides and independent sides (whose
-        # edge counts mostly differ), up to 25 edges each, unweighted and weighted.
+        # Cycles identical sides, disjoint sides, independent sides (whose edge
+        # counts mostly differ) and part of the truth plus extras that overlap
+        # it, up to 25 edges each, unweighted and weighted.
         from scipy.optimize import linear_sum_assignment
 
         def edges_over(rng, nodes, m):
@@ -139,17 +140,22 @@ class TestHgmse:
 
         rng, weight_rng = np.random.default_rng(29), np.random.default_rng(31)
         unequal = 0
-        for case in range(300):
+        for case in range(400):
             n = int(rng.integers(6, 40))
             half = n // 2
             truth_edges = edges_over(rng, np.arange(n), int(rng.integers(1, 26)))
-            if case % 3 == 0:
+            if case % 4 == 0:
                 pred_edges = [truth_edges[i] for i in rng.permutation(len(truth_edges))]
-            elif case % 3 == 1:
+            elif case % 4 == 1:
                 truth_edges = edges_over(rng, np.arange(half), int(rng.integers(1, 26)))
                 pred_edges = edges_over(rng, np.arange(half, n), int(rng.integers(1, 26)))
-            else:
+            elif case % 4 == 2:
                 pred_edges = edges_over(rng, np.arange(n), int(rng.integers(1, 26)))
+            else:
+                # Each extra keeps all but the last node of a truth edge and adds one.
+                kept = {e for e in truth_edges if rng.random() < 0.5}
+                extras = {tuple(sorted({*e[:-1], int(rng.integers(n))})) for e in truth_edges}
+                pred_edges = sorted(kept | {e for e in extras if len(e) >= 2})
             pred, truth = build_hypergraph(n, pred_edges), build_hypergraph(n, truth_edges)
             unequal += pred.m != truth.m
             hp, ht = incidence_matrix(pred), incidence_matrix(truth)
@@ -166,7 +172,7 @@ class TestHgmse:
                 n, truth_edges, weights=weight_rng.uniform(0.05, 1, truth.m)
             )
             assert hgmse(weighted_pred, weighted_truth) == dense
-        assert unequal >= 100
+        assert unequal >= 150
 
     def test_declared_node_count_never_matters(self):
         # Only the nodes that some edge holds enter the intersections, so the
@@ -180,6 +186,54 @@ class TestHgmse:
             pred = build_hypergraph(top, [[ids[v] for v in e] for e in pred_edges])
             truth = build_hypergraph(top, [[ids[v] for v in e] for e in truth_edges])
             assert hgmse(pred, truth) == expected
+
+    def test_isolated_pairs_are_read_off_without_a_matching(self, monkeypatch):
+        # Pair i shares two of its three nodes and no node with any other edge,
+        # so every pair scores as it stands and nothing is left to match.
+        import scipy.sparse.csgraph
+
+        calls = []
+        matching = scipy.sparse.csgraph.min_weight_full_bipartite_matching
+
+        def counting(graph):
+            calls.append(graph.shape)
+            return matching(graph)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "min_weight_full_bipartite_matching", counting)
+        k = 20_000
+        pred = build_hypergraph(4 * k, [(4 * i, 4 * i + 1, 4 * i + 3) for i in range(k)])
+        truth = build_hypergraph(4 * k, [(4 * i, 4 * i + 1, 4 * i + 2) for i in range(k)])
+        assert hgmse(pred, truth) == 2 / 3
+        assert calls == []
+        # Pair 2 made identical, and (0, 4, 5) and (1, 6, 7) in place of pairs
+        # k - 2 and k - 1: only predicted edges 0, 1 and the two new ones, which
+        # cross truth edges 0 and 1, reach the matching. Its best keeps 2 + 2 nodes.
+        edges = [*pred.edges[:2], truth.edges[2], *pred.edges[3:-2], (0, 4, 5), (1, 6, 7)]
+        mixed = build_hypergraph(4 * k, edges)
+        assert hgmse(mixed, truth) == (6 * k - 2 * (3 + 2 * (k - 5) + 4)) / (3 * k)
+        assert calls == [(4, 2 + 4)]
+
+    def test_identical_edges_beside_crossing_ones_match_the_oracle(self):
+        # Identical edges pair first; the edges they overlap still cross.
+        # Each case is (truth edges, predicted edges).
+        cases = [
+            (
+                [[0, 1, 2], [2, 3, 4], [4, 5, 6], [7, 8]],
+                [[0, 1, 2], [2, 3, 5], [3, 4, 5, 6], [7, 8]],
+            ),
+            ([[0, 1, 2], [1, 2, 3]], [[0, 1, 2], [0, 1, 3], [2, 3]]),
+            ([[0, 1, 2, 3], [2, 3]], [[2, 3], [0, 1, 2], [1, 2, 3]]),
+        ]
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            truth = random_hypergraph(rng, max_n=8, max_edges=4)
+            extras = random_hypergraph(rng, max_n=truth.n, max_edges=3).edges
+            kept = [e for e in truth.edges if rng.random() < 0.6]
+            cases.append((truth.edges, sorted({*kept, *extras})))
+        for truth_edges, pred_edges in cases:
+            n = 1 + max(v for e in [*truth_edges, *pred_edges] for v in e)
+            pred, truth = build_hypergraph(n, pred_edges), build_hypergraph(n, truth_edges)
+            assert hgmse(pred, truth) == _assignment_oracle(pred, truth)
 
     @given(hypergraphs())
     def test_self_distance_is_exactly_zero(self, h):

@@ -441,6 +441,33 @@ class TestGenerateGroundTruth:
         observed = hits[start[:live]]
         assert chisquare(observed).pvalue > 1e-3
 
+    @pytest.mark.parametrize("live", [9, 3000, 2**33 + 5])
+    def test_fresh_picks_equal_one_draw_with_an_array_of_bounds(self, live):
+        # One scalar draw per pick gives the picks and the generator state that
+        # rng.integers(0, [live, live - 1, ...]) gave, so no plant moves. Bounds
+        # below 2**32 draw 32-bit halves: the "cached" generators start with one
+        # half cached. The largest bound draws 64-bit words.
+        class Identity(dict):  # a pool of any length that holds node i at i
+            def __missing__(self, key):
+                return key
+
+        for seed in range(20):
+            for cached in (False, True):
+                for count in range(9):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    if cached:
+                        rng.integers(5), ref.integers(5)
+                        assert ref.bit_generator.state["has_uint32"] == 1
+                    picks = ref.integers(0, np.arange(live, live - count, -1)).tolist()
+                    pool, expected = Identity(), []
+                    for last, pick in zip(range(live - 1, -1, -1), picks):
+                        expected.append(pool[pick])
+                        pool[pick], pool[last] = pool[last], pool[pick]
+                    drawn = Identity()
+                    assert _draw_fresh(drawn, live, count, rng) == expected
+                    assert drawn == pool
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("target", [0.0, 0.1, 0.3, 0.5])
     def test_achieved_overlap_tracks_the_target(self, target):
         for seed in range(3):
